@@ -20,28 +20,18 @@
 //      (enforced with a hard check, same as tests/transport_test.cpp).
 //   3. a full multi-session LightSecAgg round (with dropout at the U
 //      boundary) through server::AggregationServer, checked bit-identical
-//      against the single-threaded runtime::Network and timed against it —
-//      under BOTH mailbox strategies (the lock-free MPSC ring and the
-//      mutex-deque reference), which must agree bit for bit;
-//   4. a fan-in contention sweep: M concurrent senders hammer ONE
-//      receiver's mailbox (the server-side share fan-in shape of the
-//      paper's aggregate-load argument), ring vs mutex — the regime the
-//      lock-free ring exists for.
+//      against the single-threaded runtime::Network and timed against it.
 //
 // Usage: bench_transport [N] [d] [sessions] [--smoke] [--json <path>]
 // Defaults 100 100000 4; --smoke shrinks to a CI-sized point (the Release
 // CI gate runs it and checks BENCH_transport.json against
 // bench/transport_tolerance.json via check_transport_regression.py).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <cstdlib>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -200,83 +190,6 @@ double fanout_zero_copy(std::size_t n, std::size_t seg_len,
     }
   }
   return seconds_since(t0);
-}
-
-/// Fan-in contention: M senders burst-enqueue into ONE receiver's mailbox.
-/// The timed phase is the ENQUEUE burst alone — every sender parks on a
-/// start latch, the clock runs from release to last-send-done, and the
-/// drain is verified untimed afterwards — so the sweep isolates M threads
-/// hammering one mailbox's admission path (the contention the lock-free
-/// ring exists to cut), not thread spawn, consumer scheduling, or
-/// backpressure parking (that discipline has its own tests and is
-/// identical per strategy: park, one wake per freed slot). Capacity
-/// covers the whole burst so no producer ever blocks.
-double fanin_contention(std::size_t senders, std::uint32_t frames_each,
-                        std::size_t payload_elems,
-                        lsa::transport::MailboxStrategy strategy) {
-  const std::uint64_t total = std::uint64_t{senders} * frames_each;
-  // TWO parties only (mailbox capacity is per receiver, and a router of
-  // M+1 parties would allocate M unused burst-deep sender mailboxes):
-  // every sender thread stamps party 0 — the admission path carries no
-  // per-sender state, so sender identity is irrelevant to the contention
-  // being measured. Freelist sized to the burst + a warmup pass: after
-  // it, every acquire recycles, so the timed phase exercises the mailbox
-  // engine, not malloc.
-  lsa::transport::ConcurrentRouter router(
-      2, /*queue_capacity=*/total, strategy, /*pool_retain=*/total);
-  const std::uint32_t receiver = 1;
-  const std::vector<rep> payload(payload_elems, 3);
-  {
-    lsa::transport::Inbound in;
-    for (std::uint64_t k = 0; k < total; ++k) {
-      router.send_row(lsa::runtime::MsgType::kMaskedModel, 0, receiver, k,
-                      std::span<const rep>(payload));
-    }
-    while (router.try_recv(receiver, in)) in.buf.reset();
-  }
-
-  std::mutex latch_mu;
-  std::condition_variable latch_cv;
-  bool go = false;
-  std::vector<std::thread> threads;
-  threads.reserve(senders);
-  for (std::size_t s = 0; s < senders; ++s) {
-    threads.emplace_back([&] {
-      {
-        std::unique_lock<std::mutex> lk(latch_mu);
-        latch_cv.wait(lk, [&] { return go; });
-      }
-      for (std::uint32_t k = 0; k < frames_each; ++k) {
-        router.send_row(lsa::runtime::MsgType::kMaskedModel, /*sender=*/0,
-                        receiver, k, std::span<const rep>(payload));
-      }
-    });
-  }
-  const auto t0 = Clock::now();
-  {
-    std::lock_guard<std::mutex> lk(latch_mu);
-    go = true;
-  }
-  latch_cv.notify_all();
-  for (auto& t : threads) t.join();
-  const double secs = seconds_since(t0);
-
-  // Untimed verification drain: frame CONSERVATION only (every enqueue
-  // arrived exactly once). Per-link ordering is not meaningful here — all
-  // threads stamp sender 0 — and is pinned by mailbox_stress_test instead.
-  std::uint64_t got = 0;
-  lsa::transport::Inbound in;
-  while (router.try_recv(receiver, in)) {
-    in.buf.reset();
-    ++got;
-  }
-  if (got != total) {
-    std::printf("FAIL: fan-in sweep delivered %llu of %llu frames\n",
-                static_cast<unsigned long long>(got),
-                static_cast<unsigned long long>(total));
-    std::exit(1);
-  }
-  return secs;
 }
 
 void print_row(const char* name, std::uint64_t frames, double secs,
@@ -446,11 +359,7 @@ int main(int argc, char** argv) {
   std::printf("  single-threaded Network x%zu:      %8.3f s\n", n_sessions,
               serial_secs);
 
-  // Both mailbox strategies drive the same rounds: the lock-free ring is
-  // the production engine, the mutex deque the tested reference — results
-  // must be bit-identical to the serial Network under BOTH.
-  for (const auto strategy : {lsa::transport::MailboxStrategy::kLockFreeRing,
-                              lsa::transport::MailboxStrategy::kMutexDeque}) {
+  {
     lsa::sys::ThreadPool pool(hw);
     lsa::server::AggregationServer server(&pool);
     std::vector<lsa::server::AggregationServer::RoundWork> works;
@@ -458,9 +367,7 @@ int main(int argc, char** argv) {
       auto pp = p;
       pp.exec.pool = &pool;
       const auto id = server.open_session(
-          lsa::server::SessionConfig{.params = pp,
-                                     .seed = 70 + s,
-                                     .mailbox = strategy});
+          lsa::server::SessionConfig{.params = pp, .seed = 70 + s});
       works.push_back({id, 0, &model_sets[s], crash});
     }
     before = lsa::transport::snapshot();
@@ -468,17 +375,15 @@ int main(int argc, char** argv) {
     const auto results = server.run_rounds(works);
     const double sharded_secs = seconds_since(t0);
     after = lsa::transport::snapshot();
-    std::printf("  sharded AggregationServer (%s): %8.3f s  (%.2fx)\n",
-                lsa::transport::to_string(strategy), sharded_secs,
-                serial_secs / sharded_secs);
+    std::printf("  sharded AggregationServer:        %8.3f s  (%.2fx)\n",
+                sharded_secs, serial_secs / sharded_secs);
     std::printf("  send-side payload copies:         %8llu (must be 0)\n",
                 static_cast<unsigned long long>(after.payload_copies -
                                                 before.payload_copies));
     for (std::size_t s = 0; s < n_sessions; ++s) {
       if (results[s] != expected[s]) {
         std::printf("FAIL: session %zu aggregate differs from the "
-                    "single-threaded reference (%s)\n", s,
-                    lsa::transport::to_string(strategy));
+                    "single-threaded reference\n", s);
         return 1;
       }
     }
@@ -488,9 +393,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("  aggregates bit-identical to the serial reference: OK\n");
-    const bool ring =
-        strategy == lsa::transport::MailboxStrategy::kLockFreeRing;
-    json.add(ring ? "multi_session" : "multi_session_mutex",
+    json.add("multi_session",
              {{"sessions", double(n_sessions)},
               {"serial_s", serial_secs},
               {"sharded_s", sharded_secs},
@@ -500,62 +403,6 @@ int main(int argc, char** argv) {
               {"bit_identical", 1.0}});
   }
 
-  // [3] Fan-in contention sweep: M senders into ONE mailbox. This is the
-  // server's share fan-in at scale, and the regime where the mutex
-  // mailbox serializes every enqueue; the lock-free ring must pull ahead
-  // as M grows (acceptance: ring >= mutex at M >= 500 in the full sweep).
-  {
-    const std::vector<std::size_t> sweep =
-        smoke ? std::vector<std::size_t>{16, 64}
-              : std::vector<std::size_t>{100, 250, 500, 1000};
-    const std::size_t payload_elems = 8;
-    std::printf("\n[3] fan-in contention sweep (%zu-elem frames, one "
-                "receiver)\n", payload_elems);
-    std::printf("  %8s %14s %14s %10s\n", "senders", "ring fr/s",
-                "mutex fr/s", "ring/mutex");
-    // Interleaved best-of-R per point: scheduler noise on shared hosts
-    // dwarfs the per-op engine delta in any single run; the fastest rep is
-    // the least-polluted measurement of each engine's admission path.
-    const int reps = smoke ? 3 : 5;
-    for (const std::size_t m : sweep) {
-      const auto frames_each = static_cast<std::uint32_t>(
-          std::max<std::size_t>(smoke ? 50 : 25, (smoke ? 6000 : 60000) / m));
-      const std::uint64_t total = std::uint64_t{m} * frames_each;
-      double ring_secs = 1e30, mutex_secs = 1e30;
-      for (int r = 0; r < reps; ++r) {
-        ring_secs = std::min(
-            ring_secs,
-            fanin_contention(m, frames_each, payload_elems,
-                             lsa::transport::MailboxStrategy::kLockFreeRing));
-        mutex_secs = std::min(
-            mutex_secs,
-            fanin_contention(m, frames_each, payload_elems,
-                             lsa::transport::MailboxStrategy::kMutexDeque));
-      }
-      const double ring_fps = double(total) / ring_secs;
-      const double mutex_fps = double(total) / mutex_secs;
-      std::printf("  %8zu %14.0f %14.0f %9.2fx\n", m, ring_fps, mutex_fps,
-                  ring_fps / mutex_fps);
-      json.add("fanin_contention_" + std::to_string(m),
-               {{"senders", double(m)},
-                {"frames", double(total)},
-                {"ring_fps", ring_fps},
-                {"mutex_fps", mutex_fps},
-                {"ring_vs_mutex", ring_fps / mutex_fps}});
-      // Self-enforced collapse floor at high fan-in: the ring must stay in
-      // the mutex reference's league at M >= 500 — the regime where a wake
-      // or admission regression (e.g. notify_one reverting to the
-      // notify_all thundering herd, which cost ~100x here) shows first.
-      // 0.75 tolerates scheduler jitter on shared single-core hosts, where
-      // the engines otherwise measure within a few percent; any real
-      // collapse lands far below it.
-      if (m >= 500 && ring_fps < 0.75 * mutex_fps) {
-        std::printf("FAIL: lock-free ring collapsed to %.2fx of the mutex "
-                    "mailbox at %zu senders\n", ring_fps / mutex_fps, m);
-        return 1;
-      }
-    }
-  }
   json.write(json_path);
   return 0;
 }

@@ -46,8 +46,11 @@ class ConfigError : public Error {
 };
 
 /// Throws E(msg) when cond is false. Used for API-boundary contract checks.
+/// The message is a C string so a passing check builds nothing: it runs on
+/// hot paths (every router send and receive). A site whose message needs
+/// formatting tests its condition and throws explicitly instead.
 template <class E = Error>
-inline void require(bool cond, const std::string& msg) {
+inline void require(bool cond, const char* msg) {
   if (!cond) throw E(msg);
 }
 

@@ -250,10 +250,6 @@ struct SessionConfig {
   /// Per-receiver mailbox bound; 0 = the session type's fan-in bound plus
   /// headroom, so a single-threaded drive never blocks on backpressure.
   std::size_t queue_capacity = 0;
-  /// Mailbox engine for the session's router (lock-free ring by default;
-  /// the mutex deque is the tested reference — results are bit-identical).
-  lsa::transport::MailboxStrategy mailbox =
-      lsa::transport::default_mailbox_strategy();
   bool byzantine_tolerant = false;
   /// Bench/test instrumentation: simulated wide-area latency injected once
   /// per stage execution (a sleep at stage start), modeling the share-
@@ -284,8 +280,7 @@ class Session final : public SessionBase {
       : cfg_(std::move(cfg)),
         router_(cfg_.params.num_users + 1,
                 resolve_queue_capacity(cfg_.queue_capacity,
-                                       fanin_bound(cfg_.params.num_users)),
-                cfg_.mailbox) {
+                                       fanin_bound(cfg_.params.num_users))) {
     cfg_.params.validate_and_resolve();
     server_ = std::make_unique<lsa::runtime::AggregationServer>(
         cfg_.params, router_, cfg_.byzantine_tolerant);
@@ -559,9 +554,6 @@ struct AsyncSessionConfig {
   std::uint64_t seed = 1;
   /// Per-receiver mailbox bound; 0 = the async fan-in bound plus headroom.
   std::size_t queue_capacity = 0;
-  /// Mailbox engine for the session's router (see SessionConfig::mailbox).
-  lsa::transport::MailboxStrategy mailbox =
-      lsa::transport::default_mailbox_strategy();
   std::size_t buffer_k = 1;  ///< K: updates buffered before aggregating
   lsa::quant::StalenessPolicy staleness{};
   std::uint64_t c_g = 1u << 6;  ///< staleness-weight quantization (eq. 34)
@@ -604,8 +596,7 @@ class AsyncSession final : public SessionBase {
         router_(cfg_.params.num_users + 1,
                 resolve_queue_capacity(
                     cfg_.queue_capacity,
-                    fanin_bound(cfg_.params.num_users, max_arrivals_)),
-                cfg_.mailbox) {
+                    fanin_bound(cfg_.params.num_users, max_arrivals_))) {
     cfg_.params.validate_and_resolve();
     server_ = std::make_unique<lsa::runtime::AsyncAggregationServer>(
         cfg_.params, cfg_.buffer_k, cfg_.staleness, cfg_.c_g, router_);

@@ -100,10 +100,11 @@ class FrameDecoder {
   void begin_frame() {
     std::uint32_t payload_elems = 0;
     std::memcpy(&payload_elems, header_.data() + 20, 4);
-    lsa::require<lsa::ProtocolError>(
-        payload_elems <= max_payload_elems_,
-        "socket: oversized frame (" + std::to_string(payload_elems) +
-            " elems > max " + std::to_string(max_payload_elems_) + ")");
+    if (payload_elems > max_payload_elems_) {
+      throw lsa::ProtocolError("socket: oversized frame (" +
+                               std::to_string(payload_elems) + " elems > max " +
+                               std::to_string(max_payload_elems_) + ")");
+    }
     frame_need_ = lsa::runtime::kHeaderBytes + 4ull * payload_elems;
     frame_ = pool_->acquire(frame_need_);
     // copy-ok: 28-byte header replay into the just-acquired frame (the

@@ -54,9 +54,9 @@ struct SocketAddr {
       const std::string port_str = rest.substr(colon + 1);
       char* end = nullptr;
       const unsigned long p = std::strtoul(port_str.c_str(), &end, 10);
-      lsa::require<lsa::ConfigError>(
-          end != nullptr && *end == '\0' && !port_str.empty() && p <= 65535,
-          "socket: bad tcp port '" + port_str + "'");
+      if (end == nullptr || *end != '\0' || port_str.empty() || p > 65535) {
+        throw lsa::ConfigError("socket: bad tcp port '" + port_str + "'");
+      }
       a.port = static_cast<std::uint16_t>(p);
       return a;
     }
@@ -131,9 +131,10 @@ inline void set_nodelay(int fd, const SocketAddr& addr) {
     const std::string port_str = std::to_string(addr.port);
     const int rc =
         ::getaddrinfo(addr.host.c_str(), port_str.c_str(), &hints, &res);
-    lsa::require<lsa::Error>(rc == 0 && res != nullptr,
-                            "socket: getaddrinfo(" + addr.host +
-                                "): " + std::string(::gai_strerror(rc)));
+    if (rc != 0 || res == nullptr) {
+      throw lsa::Error("socket: getaddrinfo(" + addr.host +
+                       "): " + std::string(::gai_strerror(rc)));
+    }
     fd = ::socket(res->ai_family, res->ai_socktype | SOCK_CLOEXEC,
                   res->ai_protocol);
     if (fd < 0) {
@@ -198,9 +199,10 @@ inline void set_nodelay(int fd, const SocketAddr& addr) {
     const std::string port_str = std::to_string(addr.port);
     const int gai =
         ::getaddrinfo(addr.host.c_str(), port_str.c_str(), &hints, &res);
-    lsa::require<lsa::Error>(gai == 0 && res != nullptr,
-                            "socket: getaddrinfo(" + addr.host +
-                                "): " + std::string(::gai_strerror(gai)));
+    if (gai != 0 || res == nullptr) {
+      throw lsa::Error("socket: getaddrinfo(" + addr.host +
+                       "): " + std::string(::gai_strerror(gai)));
+    }
     fd = ::socket(res->ai_family, res->ai_socktype | SOCK_CLOEXEC,
                   res->ai_protocol);
     if (fd < 0) {

@@ -443,8 +443,9 @@ class SocketTransport final : public lsa::runtime::Transport {
                           std::chrono::milliseconds(opts_.connect_retry_ms);
     int fd = -1;
     while ((fd = dial_once(addr_)) < 0) {
-      lsa::require(std::chrono::steady_clock::now() < deadline,
-                   "socket: connect timed out: " + addr_.to_string());
+      if (std::chrono::steady_clock::now() >= deadline) {
+        throw lsa::Error("socket: connect timed out: " + addr_.to_string());
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     set_nonblocking(fd);
