@@ -3,11 +3,11 @@
 // Three measurements at a paper-scale working point (N users, d model
 // entries, buffer K = N/4, Poly(1) staleness):
 //
-//   1. buffer cycles/s of the legacy single-threaded AsyncNetwork drive
-//      (copying Router) vs the same cohorts as AsyncSessions pumped by the
-//      sharded server::AggregationServer over the zero-copy transport,
-//      with every async aggregate checked bit-identical to its legacy
-//      reference (same seed, same scheduled arrivals);
+//   1. buffer cycles/s of the serial single-threaded AsyncNetwork drive
+//      vs the same cohorts as AsyncSessions pumped by the sharded
+//      server::AggregationServer, with every async aggregate checked
+//      bit-identical to its serial reference (same seed, same scheduled
+//      arrivals);
 //   2. the one-shot weighted-decode telemetry: plan setup vs streaming
 //      seconds and the survivor-set plan-cache hit count — repeated cycles
 //      with the same responder set must pay setup once;
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
               n, d, su.buffer_k, su.params.target_survivors, n_sessions,
               cycles, hw, smoke ? " (smoke)" : "");
 
-  // [1] Legacy single-threaded reference: one AsyncNetwork per cohort,
+  // [1] Serial single-threaded reference: one AsyncNetwork per cohort,
   // driven cycle by cycle with the same seeded arrival schedule the
   // sessions will consume. Outputs are kept as the bit-exactness oracle.
   std::vector<std::vector<lsa::runtime::AsyncAggregationServer::Output>>
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   }
   const double total_cycles = double(n_sessions * cycles);
   std::printf("\n[1] %zu cohorts x %zu cycles\n", n_sessions, cycles);
-  std::printf("  legacy AsyncNetwork (copying Router): %8.3f s  %8.1f "
+  std::printf("  serial AsyncNetwork:                  %8.3f s  %8.1f "
               "cycles/s\n",
               legacy_secs, total_cycles / legacy_secs);
 
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
       for (std::size_t c = 0; c < cycles; ++c) {
         if (outs[c].weighted_sum != expected[s][c].weighted_sum ||
             outs[c].weight_sum != expected[s][c].weight_sum) {
-          std::printf("FAIL: session %zu cycle %zu differs from the legacy "
+          std::printf("FAIL: session %zu cycle %zu differs from the serial "
                       "single-threaded drive\n", s, c);
           return 1;
         }
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
               "cycles/s  (%.2fx)\n",
               server_secs, total_cycles / server_secs,
               legacy_secs / server_secs);
-  std::printf("  aggregates bit-identical to the legacy drive: OK\n");
+  std::printf("  aggregates bit-identical to the serial drive: OK\n");
   std::printf("  send-side payload copies:             %8llu (must be 0)\n",
               static_cast<unsigned long long>(copies));
   if (copies != 0) {

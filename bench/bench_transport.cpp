@@ -1,4 +1,4 @@
-// Transport-plane throughput: legacy copying Router vs the zero-copy
+// Transport-plane throughput: the seed's copying router vs the zero-copy
 // ConcurrentRouter, plus the sharded multi-session AggregationServer.
 //
 // Three measurements at the paper-scale working point (N = 100 users,
@@ -10,10 +10,9 @@
 //           pre-transport-subsystem path (bitwise CRC-32, global FIFO
 //           deque, Message copy + serialize + deserialize). This is the
 //           legacy baseline the >=5x acceptance target is measured
-//           against: the transport this PR replaces;
-//        b. today's Router (same copying shape, slice-by-8 CRC);
-//        c. ConcurrentRouter, single thread: zero-copy pooled frames;
-//        d. ConcurrentRouter, one cohort per pool worker: aggregate MPSC
+//           against;
+//        b. ConcurrentRouter, single thread: zero-copy pooled frames;
+//        c. ConcurrentRouter, one cohort per pool worker: aggregate MPSC
 //           throughput of the sharded plane (scales with cores).
 //   2. bytes copied per round, from the global transport counters — the
 //      zero-copy path must report ZERO intermediate payload copies
@@ -41,7 +40,6 @@
 #include "field/random_field.h"
 #include "protocol/params.h"
 #include "runtime/machines.h"
-#include "runtime/router.h"
 #include "server/aggregation_server.h"
 #include "sys/thread_pool.h"
 #include "transport/concurrent_router.h"
@@ -130,36 +128,6 @@ double fanout_seed(std::size_t n, std::size_t seg_len,
 /// One cohort's offline share fan-out: every user ships one seg_len-row to
 /// every other user; receivers consume each frame into an arena row.
 /// Returns wall time; the copy counters are read by the caller.
-double fanout_legacy(std::size_t n, std::size_t seg_len,
-                     const lsa::field::FlatMatrix<Fp32>& shares) {
-  lsa::runtime::Router router(n);
-  lsa::field::FlatMatrix<Fp32> sink(n, seg_len);
-  const auto t0 = Clock::now();
-  lsa::runtime::Message in;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      lsa::runtime::Message m;
-      m.type = lsa::runtime::MsgType::kEncodedMaskShare;
-      m.sender = static_cast<std::uint32_t>(i);
-      m.receiver = static_cast<std::uint32_t>(j);
-      m.payload.assign(shares.row(i).begin(), shares.row(i).end());
-      lsa::transport::counters().note_copy(4 * seg_len);
-      router.send(m);
-    }
-    // Drain as we go (mirrors a live server; also bounds queue memory).
-    while (router.deliver_next(in)) {
-      auto dst = sink.row(in.sender);
-      std::copy(in.payload.begin(), in.payload.end(), dst.begin());
-    }
-  }
-  while (router.deliver_next(in)) {
-    auto dst = sink.row(in.sender);
-    std::copy(in.payload.begin(), in.payload.end(), dst.begin());
-  }
-  return seconds_since(t0);
-}
-
 double fanout_zero_copy(std::size_t n, std::size_t seg_len,
                         const lsa::field::FlatMatrix<Fp32>& shares) {
   lsa::transport::ConcurrentRouter router(n, 4 * n);
@@ -264,14 +232,6 @@ int main(int argc, char** argv) {
             legacy_fps);
 
   before = lsa::transport::snapshot();
-  const double router_secs = fanout_legacy(n, seg_len, shares);
-  after = lsa::transport::snapshot();
-  print_row("Router (slice-by-8 CRC)", frames_per_cohort, router_secs,
-            after.payload_copies - before.payload_copies,
-            after.payload_bytes_copied - before.payload_bytes_copied,
-            legacy_fps);
-
-  before = lsa::transport::snapshot();
   const double zc_secs = fanout_zero_copy(n, seg_len, shares);
   after = lsa::transport::snapshot();
   const std::uint64_t zc_copies = after.payload_copies - before.payload_copies;
@@ -291,8 +251,6 @@ int main(int argc, char** argv) {
   json.add("fanout", {{"n", double(n)},
                       {"d", double(d)},
                       {"seed_router_fps", legacy_fps},
-                      {"slice8_router_fps",
-                       double(frames_per_cohort) / router_secs},
                       {"zero_copy_fps", zc_fps},
                       {"zero_copy_speedup", zc_fps / legacy_fps},
                       {"zero_copy_payload_copies", double(zc_copies)}});

@@ -125,19 +125,6 @@ int serve(int argc, char** argv) {
       static_cast<unsigned long long>(st.disconnects),
       static_cast<unsigned long long>(st.revives));
 
-  // The serving path must be copy-free: frames are built once from arena
-  // rows and relayed/broadcast by refcount. Snapshot BEFORE the verify
-  // drive (the reference Network runs on the copying legacy Router).
-  const std::uint64_t serve_copies =
-      lsa::transport::snapshot().payload_copies;
-  if (serve_copies != 0) {
-    std::fprintf(stderr,
-                 "lsa_serverd: %llu payload bytes copied on the serving "
-                 "path (expected 0)\n",
-                 static_cast<unsigned long long>(serve_copies));
-    return 4;
-  }
-
   if (verify) {
     for (std::uint64_t s = 0; s < num_sessions; ++s) {
       lsa::runtime::Network net(params, seed);
@@ -172,6 +159,18 @@ int serve(int argc, char** argv) {
                     params.num_users - crashed.size());
       }
     }
+  }
+
+  // The serving path must be copy-free: frames are built once from arena
+  // rows and relayed/broadcast by refcount. The verify drive's reference
+  // Network sends through the same zero-copy plane, so it counts too.
+  const std::uint64_t copies = lsa::transport::snapshot().payload_copies;
+  if (copies != 0) {
+    std::fprintf(stderr,
+                 "lsa_serverd: %llu payload copies on the serving path or "
+                 "the verify drive (expected 0)\n",
+                 static_cast<unsigned long long>(copies));
+    return 4;
   }
   return 0;
 }

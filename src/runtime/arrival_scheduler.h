@@ -4,9 +4,9 @@
 // updates sit in its buffer; which users arrive, and how stale each update
 // is, are properties of the *deployment*, not the protocol. To make
 // mixed-cohort runs reproducible — the sharded server's async sessions must
-// be bit-identical to the single-threaded legacy drive at the same seed,
+// be bit-identical to the single-threaded serial drive at the same seed,
 // whatever the thread interleaving — the arrival pattern is factored into
-// this seeded scheduler: every consumer (server::AsyncSession, the legacy
+// this seeded scheduler: every consumer (server::AsyncSession, the serial
 // runtime::AsyncNetwork reference in tests/benches) derives the SAME
 // arrivals for cycle c from the same ArrivalSchedule, with no shared state
 // between cycles (each cycle reseeds from (seed, cycle)).

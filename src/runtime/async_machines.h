@@ -1,6 +1,7 @@
 // Asynchronous LightSecAgg as communicating state machines (paper §4.2,
 // Appendix F) — the distributed-system shape of protocol/async_lightsecagg.h,
-// with every byte crossing the fault-injecting Router in wire format.
+// with every byte crossing a Transport in wire format (a ConcurrentRouter,
+// with its crash/revive and fault hooks, in AsyncNetwork and AsyncSession).
 //
 // Message flow per buffer cycle (buffered async FL, FedBuff-style):
 //   1. A user finishing local training at staleness tau_i = now - t_i sends
@@ -18,6 +19,7 @@
 //      aggregate mask, removes it and broadcasts the result.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,8 +34,7 @@
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
-#include "runtime/machines.h"  // Party
-#include "runtime/router.h"
+#include "runtime/machines.h"  // Party, pump_router
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
@@ -138,9 +139,6 @@ class AsyncUserDevice final : public Party {
     return offline_encodes_;
   }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -271,9 +269,6 @@ class AsyncAggregationServer final : public Party {
     return codec_;
   }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -399,20 +394,38 @@ class AsyncAggregationServer final : public Party {
   std::map<std::uint32_t, std::vector<rep>> weighted_shares_;
 };
 
-/// Owns the router and all async parties; pumps messages to completion.
+/// Largest single-phase fan-in any one async mailbox sees when at most
+/// `max_arrivals` updates arrive per cycle: the server box takes up to
+/// max(N, A) frames between pumps (A masked uploads in the submission
+/// phase, up to N weighted-share responses after the manifest broadcast);
+/// a user box takes at most A timestamped shares.
+[[nodiscard]] constexpr std::size_t async_fanin_bound(
+    std::size_t n, std::size_t max_arrivals) {
+  return std::max(n, max_arrivals) + 2;
+}
+
+/// Owns the router and all async parties; pumps messages to completion on
+/// the calling thread. It is the serial reference that AsyncSession is
+/// checked against bit for bit.
 class AsyncNetwork {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
   /// t_i = born_round (staleness = now - t_i); shared with the arrival
-  /// scheduler so session and legacy drives consume identical patterns.
+  /// scheduler so session and serial drives consume identical patterns.
   using Arrival = lsa::runtime::Arrival;
 
+  /// The mailboxes are sized for max_arrivals() per cycle, so no cycle
+  /// run_cycle accepts can block on backpressure.
   AsyncNetwork(lsa::protocol::Params params, std::size_t buffer_k,
                lsa::quant::StalenessPolicy staleness, std::uint64_t c_g,
                std::uint64_t seed)
-      : params_(params), router_(params.num_users + 1) {
+      : params_(params),
+        max_arrivals_(std::max(params.num_users, buffer_k)),
+        router_(params.num_users + 1,
+                async_fanin_bound(params.num_users, max_arrivals_) +
+                    lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
     params_.validate_and_resolve();
     server_ = std::make_unique<AsyncAggregationServer>(
         params_, buffer_k, staleness, c_g, router_);
@@ -422,27 +435,28 @@ class AsyncNetwork {
     }
   }
 
-  [[nodiscard]] Router& router() { return router_; }
+  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
   [[nodiscard]] AsyncUserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AsyncAggregationServer& server() { return *server_; }
+  /// Most arrivals one run_cycle accepts: max(N, buffer_k) — every user
+  /// once, or a full buffer if that is larger.
+  [[nodiscard]] std::size_t max_arrivals() const { return max_arrivals_; }
 
   void pump() {
-    Message m;
-    while (router_.deliver_next(m)) {
-      if (m.receiver == params_.num_users) {
-        server_->handle(m);
-      } else {
-        users_.at(m.receiver)->handle(m);
-      }
-    }
+    pump_router(router_, lsa::sys::ExecPolicy{}, *server_, users_);
   }
 
   /// Runs one buffer cycle at aggregation round `now`: the arrivals submit
   /// their (stale) updates, users in `crash_before_recovery` go silent, and
-  /// the server aggregates once the buffer is full.
+  /// the server aggregates once the buffer is full. A cycle of more than
+  /// max_arrivals() arrivals is rejected before anything is sent.
   [[nodiscard]] AsyncAggregationServer::Output run_cycle(
       std::uint64_t now, const std::vector<Arrival>& arrivals,
       const std::vector<std::size_t>& crash_before_recovery = {}) {
+    lsa::require<lsa::ProtocolError>(
+        arrivals.size() <= max_arrivals_,
+        "async network: cycle exceeds max(N, buffer_k) arrivals (the "
+        "mailbox bound was derived from it)");
     for (const auto& a : arrivals) {
       users_.at(a.user)->submit_update(a.born_round, a.update);
     }
@@ -457,7 +471,8 @@ class AsyncNetwork {
 
  private:
   lsa::protocol::Params params_;
-  Router router_;
+  std::size_t max_arrivals_;
+  lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<AsyncAggregationServer> server_;
   std::vector<std::unique_ptr<AsyncUserDevice>> users_;
 };

@@ -12,15 +12,17 @@
 //   * the server decides U1 from what actually arrived, not from a script;
 //   * recovery succeeds from ANY U responding users.
 //
-// All handlers consume *payload views* (on_payload): under the legacy
-// Router they see Message::payload via a span, under the concurrent
-// zero-copy transport they see a span aliasing the pooled frame buffer and
-// copy exactly once — straight into their ShareBank arena row.
+// Every party has ONE delivery entry, handle_view: its payload is a span
+// aliasing the pooled frame buffer, and handlers copy exactly once —
+// straight into their ShareBank arena row. pump_router drains a
+// ConcurrentRouter's mailboxes into the parties; the sessions and the
+// serial Network / AsyncNetwork reference drives all go through it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -31,9 +33,10 @@
 #include "field/flat_matrix.h"
 #include "field/random_field.h"
 #include "protocol/params.h"
-#include "runtime/router.h"
 #include "runtime/transport.h"
 #include "runtime/wire.h"
+#include "sys/exec_policy.h"
+#include "transport/concurrent_router.h"
 #include "transport/frame.h"
 
 namespace lsa::runtime {
@@ -41,14 +44,32 @@ namespace lsa::runtime {
 class Party {
  public:
   virtual ~Party() = default;
-  virtual void handle(const Message& m) = 0;
-  /// Zero-copy delivery entry. Default materializes a Message (one counted
-  /// payload copy); the sync machines override their payload handlers to
-  /// consume the view directly.
-  virtual void handle_view(const lsa::transport::FrameView& f) {
-    handle(lsa::transport::to_message(f));
-  }
+  /// Delivery entry: `f.payload` aliases the frame buffer and is valid
+  /// only for the duration of the call.
+  virtual void handle_view(const lsa::transport::FrameView& f) = 0;
 };
+
+/// Delivers until every mailbox is quiet. Endpoint r < users.size() is
+/// user r; endpoint users.size() is the server. Each receiver's mailbox
+/// drains on one lane of `pol` (a Party handles its own messages serially;
+/// distinct parties are independent). Re-pumps until messages sent by
+/// handlers (survivor-set / manifest replies) are delivered too.
+template <class User>
+void pump_router(lsa::transport::ConcurrentRouter& router,
+                 const lsa::sys::ExecPolicy& pol, Party& server,
+                 const std::vector<std::unique_ptr<User>>& users) {
+  const std::size_t n = users.size();
+  do {
+    pol.run(n + 1, [&](std::size_t r) {
+      Party& party = r == n ? server : *users[r];
+      lsa::transport::Inbound in;
+      while (router.try_recv(r, in)) {
+        party.handle_view(in.view);
+        in.buf.reset();  // recycle before the next pop
+      }
+    });
+  } while (!router.idle());
+}
 
 /// Per-round flat store of length-`cols` payload rows keyed by sender: one
 /// arena allocation instead of one heap vector per (sender, round). The
@@ -289,9 +310,6 @@ class UserDevice final : public Party {
   /// against (paper §8 future work; coding/error_correction.h).
   void set_byzantine(bool on) { byzantine_ = on; }
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -447,9 +465,6 @@ class AggregationServer final : public Party {
         transport_(transport),
         byzantine_tolerant_(byzantine_tolerant) {}
 
-  void handle(const Message& m) override {
-    on_payload(m.type, m.sender, m.round, m.payload);
-  }
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
   }
@@ -604,12 +619,16 @@ class AggregationServer final : public Party {
 };
 
 /// Owns a router, N user devices and the server; pumps messages to
-/// completion. The unit tests drive rounds through this.
+/// completion on the calling thread. The unit tests drive rounds through
+/// this, and it is the serial reference the concurrent sessions are
+/// checked against bit for bit.
 class Network {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
+  /// The router takes its default mailbox bound (the sync fan-in bound
+  /// plus headroom), so a serial drive never blocks on backpressure.
   Network(lsa::protocol::Params params, std::uint64_t seed,
           bool byzantine_tolerant = false)
       : params_(params), router_(params.num_users + 1) {
@@ -622,20 +641,13 @@ class Network {
     }
   }
 
-  [[nodiscard]] Router& router() { return router_; }
+  [[nodiscard]] lsa::transport::ConcurrentRouter& router() { return router_; }
   [[nodiscard]] UserDevice& user(std::size_t i) { return *users_.at(i); }
   [[nodiscard]] AggregationServer& server() { return *server_; }
 
   /// Delivers queued messages until the network is quiet.
   void pump() {
-    Message m;
-    while (router_.deliver_next(m)) {
-      if (m.receiver == params_.num_users) {
-        server_->handle(m);
-      } else {
-        users_.at(m.receiver)->handle(m);
-      }
-    }
+    pump_router(router_, lsa::sys::ExecPolicy{}, *server_, users_);
   }
 
   /// Runs one full round: all users start (offline + upload), `crash_after_
@@ -662,7 +674,7 @@ class Network {
 
  private:
   lsa::protocol::Params params_;
-  Router router_;
+  lsa::transport::ConcurrentRouter router_;
   std::unique_ptr<AggregationServer> server_;
   std::vector<std::unique_ptr<UserDevice>> users_;
 };

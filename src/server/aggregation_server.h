@@ -179,25 +179,6 @@ class SessionBase {
     return configured;
   }
 
-  /// Delivers until every mailbox is quiet. Each receiver's mailbox drains
-  /// on one lane (a Party handles its own messages serially; distinct
-  /// parties are independent). Re-pumps until messages sent by handlers
-  /// (survivor-set / manifest replies) are delivered too.
-  template <class PartyFn>
-  static void pump_router(lsa::transport::ConcurrentRouter& router,
-                          const lsa::sys::ExecPolicy& pol,
-                          std::size_t endpoints, PartyFn&& party) {
-    do {
-      pol.run(endpoints, [&](std::size_t r) {
-        lsa::transport::Inbound in;
-        while (router.try_recv(r, in)) {
-          party(r).handle_view(in.view);
-          in.buf.reset();  // recycle before the next pop
-        }
-      });
-    } while (!router.idle());
-  }
-
   /// Folds one decode's stats into the session telemetry.
   void note_step(const lsa::coding::MaskCodec<Fp>::DecodeStats& st) {
     ++steps_;
@@ -332,10 +313,7 @@ class Session final : public SessionBase {
   }
 
   void pump() {
-    pump_router(router_, cfg_.params.exec, cfg_.params.num_users + 1,
-                [&](std::size_t r) -> lsa::runtime::Party& {
-                  return party(r);
-                });
+    lsa::runtime::pump_router(router_, cfg_.params.exec, *server_, users_);
   }
 
   // --------------------------------------- pipelined stage interface
@@ -483,12 +461,6 @@ class Session final : public SessionBase {
   }
 
  private:
-  [[nodiscard]] lsa::runtime::Party& party(std::size_t r) {
-    return r == cfg_.params.num_users
-               ? static_cast<lsa::runtime::Party&>(*server_)
-               : *users_[r];
-  }
-
   /// Fan-in + recovery + decode + broadcast: the phase tail shared by the
   /// depth-1 reference round and the pipelined online stage. Crash lands
   /// after the first pump — "crash after upload"; frames the crashed user
@@ -579,13 +551,11 @@ class AsyncSession final : public SessionBase {
   using Arrival = lsa::runtime::Arrival;
   using Output = lsa::runtime::AsyncAggregationServer::Output;
 
-  /// Largest single-phase fan-in any one async mailbox sees: the server
-  /// box takes up to max(N, A) frames between pumps (A masked uploads in
-  /// the submission phase, up to N weighted-share responses after the
-  /// manifest broadcast); a user box takes at most A timestamped shares.
+  /// Largest single-phase fan-in any one async mailbox sees
+  /// (runtime::async_fanin_bound, shared with the serial AsyncNetwork).
   [[nodiscard]] static constexpr std::size_t fanin_bound(
       std::size_t n, std::size_t max_arrivals) {
-    return std::max(n, max_arrivals) + 2;
+    return lsa::runtime::async_fanin_bound(n, max_arrivals);
   }
 
   explicit AsyncSession(AsyncSessionConfig cfg)
@@ -661,10 +631,7 @@ class AsyncSession final : public SessionBase {
   }
 
   void pump() {
-    pump_router(router_, cfg_.params.exec, cfg_.params.num_users + 1,
-                [&](std::size_t r) -> lsa::runtime::Party& {
-                  return party(r);
-                });
+    lsa::runtime::pump_router(router_, cfg_.params.exec, *server_, users_);
   }
 
   // ------------------------------------------------- SessionBase interface
@@ -685,7 +652,7 @@ class AsyncSession final : public SessionBase {
 
   /// Enqueues the next `count` cycles of the session's deterministic
   /// arrival schedule (reproducible: the same seed yields the same cycles
-  /// in the legacy single-threaded AsyncNetwork drive).
+  /// in the serial single-threaded AsyncNetwork drive).
   void enqueue_scheduled_cycles(std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
       enqueue_cycle(QueuedCycle{
@@ -732,11 +699,6 @@ class AsyncSession final : public SessionBase {
     return true;
   }
 
-  [[nodiscard]] lsa::runtime::Party& party(std::size_t r) {
-    return r == cfg_.params.num_users
-               ? static_cast<lsa::runtime::Party&>(*server_)
-               : *users_[r];
-  }
 
   AsyncSessionConfig cfg_;
   std::size_t max_arrivals_;

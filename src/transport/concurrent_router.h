@@ -1,7 +1,8 @@
 // Thread-safe MPSC message plane: sharded per-receiver mailboxes over
 // pooled zero-copy frames.
 //
-// Design (the concurrent counterpart of runtime::Router):
+// Design (THE in-process message plane: every session and the serial
+// runtime::Network / runtime::AsyncNetwork drives run on it):
 //
 //   * one bounded mailbox per receiver — senders are many (MPSC), the
 //     receiver's consumer is one at a time. A mailbox is one mutex, two
@@ -17,11 +18,11 @@
 //   * zero-copy: send_row frames straight from the caller's row view into
 //     a pooled ref-counted buffer (transport/frame.h); try_recv validates
 //     in place and hands back a payload span aliasing that buffer;
-//   * fault semantics match the legacy Router: sends from crashed parties
-//     are dropped silently, frames addressed to a party that crashes are
-//     discarded undelivered, revive() re-admits, and an optional fault
-//     hook may mutate or drop any frame before it is enqueued
-//     (fuzz/corruption testing — parse_frame throws on delivery).
+//   * fault semantics: sends from crashed parties are dropped silently,
+//     frames addressed to a party that crashes are discarded undelivered,
+//     revive() re-admits, and an optional fault hook may mutate or drop
+//     any frame before it is enqueued (fuzz/corruption testing —
+//     parse_frame throws on delivery).
 //
 // Crash/revive fence: crash(party) must leave the mailbox empty AND keep it
 // empty until revive(), even against senders that passed their liveness
@@ -171,14 +172,6 @@ class ConcurrentRouter final : public lsa::runtime::Transport {
     BufferRef frame =
         build_frame(pool_, type, sender, receiver, round, payload);
     enqueue(receiver, std::move(frame));
-  }
-
-  /// Legacy adapter: frames a materialized Message (one counted copy out
-  /// of the intermediate payload vector).
-  void send(const lsa::runtime::Message& m) override {
-    counters().note_copy(4 * m.payload.size());
-    send_row(m.type, m.sender, m.receiver, m.round,
-             std::span<const lsa::field::Fp32::rep>(m.payload));
   }
 
   /// Receiver field of shared broadcast frames (handlers dispatch on their

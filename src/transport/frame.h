@@ -93,18 +93,4 @@ struct FrameView {
   return f;
 }
 
-/// Materializes a FrameView into a legacy Message (one counted payload
-/// copy) — the compatibility fallback for handlers that still take
-/// Message.
-[[nodiscard]] inline lsa::runtime::Message to_message(const FrameView& f) {
-  lsa::runtime::Message m;
-  m.type = f.type;
-  m.sender = f.sender;
-  m.receiver = f.receiver;
-  m.round = f.round;
-  m.payload.assign(f.payload.begin(), f.payload.end());
-  counters().note_copy(4 * f.payload.size());
-  return m;
-}
-
 }  // namespace lsa::transport

@@ -3,7 +3,7 @@
 // The zero-copy claim of the transport layer ("outbound frames are built
 // once, straight from arena rows") is enforced by measurement, not by
 // convention: every path that materializes an intermediate payload vector
-// (legacy Message construction, serialize() of a Message) bumps the
+// (runtime/wire.h's serialize()/deserialize() of a Message) bumps the
 // payload-copy counters, while the frame builder only bumps the framed-byte
 // counters. tests/transport_test.cpp and bench/bench_transport.cpp assert
 // that a round driven through the concurrent transport performs ZERO
@@ -24,7 +24,8 @@ struct Counters {
   /// Payload bytes written by the frame builder (the single framing write).
   std::atomic<std::uint64_t> payload_bytes_framed{0};
   /// Intermediate payload copies (Message vectors materialized, serialize()
-  /// memcpys from Message::payload) — the copies the legacy path performs.
+  /// memcpys from Message::payload) — the copies the wire.h Message path
+  /// performs.
   std::atomic<std::uint64_t> payload_copies{0};
   std::atomic<std::uint64_t> payload_bytes_copied{0};
   /// Pool traffic: fresh heap allocations vs recycled buffers.

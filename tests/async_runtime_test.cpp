@@ -1,6 +1,7 @@
 // Asynchronous LightSecAgg as distributed state machines (App. F through
 // the wire-format router): mixed-staleness aggregation, delayed-user and
-// crash semantics, share lifecycle, and multi-cycle operation.
+// crash semantics, share lifecycle, multi-cycle operation, and the
+// per-cycle arrival bound the serial drive's mailboxes are sized for.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -110,6 +111,48 @@ TEST(AsyncRuntime, TooFewReachableUsersAborts) {
   // Crash 4 users: only 6 < U = 7 can respond.
   EXPECT_THROW((void)net.run_cycle(1, arrivals, {0, 1, 2, 3}),
                lsa::ProtocolError);
+}
+
+TEST(AsyncRuntime, CycleAtTheArrivalBoundMatchesPlainWeightedSum) {
+  // max(N, K) = N arrivals: every user contributes in one cycle, which
+  // fills each mailbox to the bound the router was sized for.
+  lsa::quant::StalenessPolicy poly{
+      lsa::quant::StalenessKind::kPolynomial, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, poly, kCg, 17);
+  ASSERT_EQ(net.max_arrivals(), kN);
+  std::vector<Arrival> arrivals;
+  for (std::size_t u = 0; u < kN; ++u) {
+    arrivals.push_back({u, /*born_round=*/6 + u % 3, random_update(800 + u)});
+  }
+  const auto out = net.run_cycle(/*now=*/8, arrivals);
+  EXPECT_EQ(out.weighted_sum, expected_weighted_sum(arrivals, 8, poly));
+}
+
+TEST(AsyncRuntime, OversizedCycleThrowsBeforeSending) {
+  // Past max(N, K) arrivals the cycle is rejected up front, with nothing
+  // sent. At queue_capacity() + 1 arrivals the server's mailbox would
+  // overflow and the single-threaded drive would block forever on
+  // backpressure, with nobody left to drain it.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, constant, kCg, 19);
+  std::vector<Arrival> arrivals;
+  for (const std::size_t count :
+       {net.max_arrivals() + 1, net.router().queue_capacity() + 1}) {
+    arrivals.clear();
+    for (std::size_t b = 0; b < count; ++b) {
+      arrivals.push_back({b % kN, 1, random_update(900 + b)});
+    }
+    EXPECT_THROW((void)net.run_cycle(1, arrivals), lsa::ProtocolError)
+        << count << " arrivals";
+    EXPECT_EQ(net.router().frames_sent(), 0u);
+    EXPECT_EQ(net.server().buffered(), 0u);
+  }
+
+  // The network stays usable for a cycle within the bound.
+  arrivals.resize(kBufferK);
+  const auto out = net.run_cycle(1, arrivals);
+  EXPECT_EQ(out.weighted_sum, expected_weighted_sum(arrivals, 1, constant));
 }
 
 TEST(AsyncRuntime, SharesAreConsumedAfterAggregation) {

@@ -320,7 +320,7 @@ TEST(FuzzNetwork, CorruptingRouterFramesFailsLoudlyNotWrongly) {
                                     std::span<const rep>(mdl));
     }
     int count = 0;
-    net.router().set_fault_hook([&count](std::vector<std::uint8_t>& frame) {
+    net.router().set_fault_hook([&count](std::span<std::uint8_t> frame) {
       if (++count % 7 == 0 && frame.size() > kHeaderBytes) {
         frame[kHeaderBytes] ^= 0x10;
       }

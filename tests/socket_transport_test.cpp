@@ -197,8 +197,7 @@ void run_full_rounds(const std::string& listen_url, int uds_tag) {
   ASSERT_EQ(sess.aggregates().size(), kRounds);
 
   // Counter-enforced zero-copy: the whole socket phase (hub + 6 clients)
-  // built frames straight from arena rows and relayed by refcount. Taken
-  // BEFORE the reference drive (the legacy Router path copies by design).
+  // built frames straight from arena rows and relayed by refcount.
   const auto mid = lsa::transport::snapshot();
   EXPECT_EQ(mid.payload_copies - before.payload_copies, 0u);
 
@@ -233,6 +232,9 @@ void run_full_rounds(const std::string& listen_url, int uds_tag) {
     const auto want = net.run_round(r, models[r], crashed);
     EXPECT_EQ(want, sess.aggregates()[r]) << "round " << r;
   }
+  // The serial reference runs on the same zero-copy plane.
+  EXPECT_EQ(lsa::transport::snapshot().payload_copies - mid.payload_copies,
+            0u);
 }
 
 TEST(SocketTransport, FullRoundsBitIdenticalOverUds) {

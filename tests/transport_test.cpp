@@ -7,11 +7,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "field/random_field.h"
+#include "runtime/async_machines.h"
 #include "runtime/machines.h"
 #include "server/aggregation_server.h"
 #include "sys/thread_pool.h"
@@ -297,6 +300,34 @@ TEST(ConcurrentRouter, FaultHookCorruptionSurfacesAtDelivery) {
   EXPECT_TRUE(router.idle());  // the corrupted frame was consumed
 }
 
+TEST(ConcurrentRouter, FaultHookCanDropFrames) {
+  // A hook returning false drops the frame before it is enqueued, on the
+  // point-to-point and the broadcast path alike; drops are counted (one
+  // per would-be receiver for a broadcast).
+  ConcurrentRouter router(3);
+  int calls = 0;
+  router.set_fault_hook([&calls](std::span<std::uint8_t>) {
+    return ++calls % 2 == 0;  // drop every other frame
+  });
+  const std::vector<rep> payload = {7};
+  for (int i = 0; i < 6; ++i) {
+    router.send_row(MsgType::kMaskedModel, 0, 1, 0,
+                    std::span<const rep>(payload));
+  }
+  for (int i = 0; i < 2; ++i) {  // hook call 7 drops, call 8 passes
+    router.broadcast_row(MsgType::kAggregateResult, 0, 0,
+                         std::span<const rep>(payload), 3);
+  }
+  std::vector<int> delivered(3, 0);
+  Inbound in;
+  for (std::size_t r = 0; r < 3; ++r) {
+    while (router.try_recv(r, in)) ++delivered[r];
+  }
+  EXPECT_EQ(delivered, (std::vector<int>{1, 3 + 1, 1}));
+  EXPECT_EQ(router.frames_delivered(), 6u);
+  EXPECT_EQ(router.frames_dropped(), 3u + 3u);
+}
+
 TEST(ConcurrentRouter, DefaultCapacityAgreesWithSyncSessionRule) {
   // Satellite regression: the old fallback (max(64, 4 * num_parties))
   // disagreed with SessionBase::resolve_queue_capacity. A bare router and
@@ -422,16 +453,32 @@ TEST(Session, BitIdenticalToSingleThreadedNetworkWithDropouts) {
 }
 
 TEST(Session, SendSideIsZeroCopy) {
+  // Every in-process drive sends through the zero-copy plane: a session
+  // round, and the serial Network / AsyncNetwork reference drives.
   const auto p = session_params(6, 1, 4, 24);
   const auto models = random_models(6, 24, 3);
   lsa::server::Session session(
       lsa::server::SessionConfig{.params = p, .seed = 5});
-  const auto before = snapshot();
-  (void)session.run_round(0, models, {});
-  const auto after = snapshot();
-  EXPECT_EQ(after.payload_copies - before.payload_copies, 0u)
-      << "a send-side intermediate payload copy sneaked in";
-  EXPECT_GT(after.frames_built - before.frames_built, 0u);
+  lsa::runtime::Network net(p, /*seed=*/5);
+  lsa::runtime::AsyncNetwork async_net(
+      p, /*buffer_k=*/3, {lsa::quant::StalenessKind::kConstant, 1.0},
+      /*c_g=*/1u << 6, /*seed=*/5);
+  std::vector<lsa::runtime::Arrival> arrivals;
+  for (std::size_t b = 0; b < 3; ++b) arrivals.push_back({b, 2, models[b]});
+
+  const std::vector<std::pair<const char*, std::function<void()>>> drives = {
+      {"session round", [&] { (void)session.run_round(0, models, {}); }},
+      {"Network round", [&] { (void)net.run_round(0, models, {}); }},
+      {"AsyncNetwork cycle", [&] { (void)async_net.run_cycle(2, arrivals); }},
+  };
+  for (const auto& [name, drive] : drives) {
+    const auto before = snapshot();
+    drive();
+    const auto after = snapshot();
+    EXPECT_EQ(after.payload_copies - before.payload_copies, 0u)
+        << name << ": a send-side intermediate payload copy sneaked in";
+    EXPECT_GT(after.frames_built - before.frames_built, 0u) << name;
+  }
 }
 
 TEST(Session, RejectsDeadlockProneQueueCapacity) {

@@ -44,6 +44,13 @@ Rules
                         functions the pipelined driver runs serially
                         (the stage-interface contract the data-race
                         freedom argument rests on).
+  no-message-path       src/ outside runtime/wire.h: no code names
+                        runtime::Message (so no `handle(const Message&)` /
+                        `send(const Message&)` entry). Parties receive
+                        FrameViews through Party::handle_view and send row
+                        views through Transport::send_row; a Message
+                        materializes a copied payload vector, the second
+                        delivery path the zero-copy plane replaced.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -512,6 +519,22 @@ def rule_serial_stage(text, code, comments, relpath) -> list[Finding]:
     return out
 
 
+MESSAGE_RE = re.compile(r"\bMessage\b")
+
+
+def rule_no_message_path(text, code, comments, relpath) -> list[Finding]:
+    if not relpath.startswith("src/") or relpath == "src/runtime/wire.h":
+        return []
+    starts = line_starts_of(text)
+    return [
+        Finding("no-message-path", relpath, line_of(m.start(), starts),
+                "names runtime::Message outside runtime/wire.h — deliver "
+                "FrameViews via Party::handle_view and send row views via "
+                "Transport::send_row (no copied Message payloads)")
+        for m in MESSAGE_RE.finditer(code)
+    ]
+
+
 RULES = [
     ("field-no-modulo", rule_field_no_modulo, "src/field/fixture.h"),
     ("field-no-branch", rule_field_no_branch, "src/field/fixture.h"),
@@ -522,6 +545,7 @@ RULES = [
     ("no-raw-alloc", rule_no_raw_alloc, "src/transport/fixture.h"),
     ("memcpy-payload", rule_memcpy_payload, "src/transport/fixture.h"),
     ("serial-stage", rule_serial_stage, "src/server/aggregation_server.h"),
+    ("no-message-path", rule_no_message_path, "src/runtime/fixture.h"),
 ]
 
 
