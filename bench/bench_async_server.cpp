@@ -16,18 +16,27 @@
 //      bench_transport).
 //
 // A mixed batch (sync rounds + async cycles in ONE drive) is also timed to
-// show heterogeneous cohorts sharing the process.
+// show heterogeneous cohorts sharing the process. Section [4] checks the
+// persistent-cohort steady state, and section [6] times opening a sync
+// and an async session at N in {100, 200, 400, 1000} (T = N/2, U = 0.7N),
+// with the process RSS after each open and one N = 400 round checked
+// against the plain field sum.
 //
 // Usage: bench_async_server [N] [d] [async_sessions] [cycles]
 //                           [--smoke] [--json <path>]
 // Defaults: 64 20000 4 6; --smoke shrinks to a CI-sized point and writes
 // BENCH_async.json for the regression gate (check_async_regression.py).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -50,6 +59,16 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Current resident set size in MB (Linux /proc/self/statm; 0 elsewhere).
+double rss_mb() {
+  long pages = 0, resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0.0;
+  if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return double(resident) * double(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
 }
 
 struct Setup {
@@ -452,6 +471,83 @@ int main(int argc, char** argv) {
             {"async_offline_encodes", double(async_persist_encodes)},
             {"async_legacy_offline_encodes", double(async_legacy_encodes)},
             {"bit_identical", 1.0}});
+
+  // [6] Session open at scale. A session builds ONE codec shared by its
+  // server and all N devices, with W computed barycentrically in
+  // O(U^2 + N*U). d = U - T (one coordinate per share segment) keeps the
+  // round at N = 400 about the open path, not the kernels. The gate
+  // (check_async_regression.py::session_open) puts a ceiling on the
+  // N = 1000 open.
+  std::printf("\n[6] session open (T = N/2, U = 0.7N, d = U - T)\n");
+  std::vector<std::pair<std::string, double>> open_fields;
+  double open_s_n1000 = 0, round_s_n400 = 0;
+  for (const std::size_t on : {100, 200, 400, 1000}) {
+    lsa::protocol::Params op;
+    op.num_users = on;
+    op.privacy = on / 2;
+    op.target_survivors = (on * 7) / 10;
+    op.dropout = on - op.target_survivors;
+    op.model_dim = op.target_survivors - op.privacy;
+    const std::string tag = "_n" + std::to_string(on);
+    double sync_s = 0, async_s = 0, sync_rss = 0, async_rss = 0;
+    {
+      const auto t0 = Clock::now();
+      lsa::server::Session sess(
+          lsa::server::SessionConfig{.params = op, .seed = 11});
+      sync_s = seconds_since(t0);
+      sync_rss = rss_mb();
+      if (on == 400) {
+        // 30% crash after upload: delayed, not dropped, so the aggregate
+        // is the plain field sum of all N models.
+        lsa::common::Xoshiro256ss mrng(4000);
+        std::vector<std::vector<rep>> models(on);
+        std::vector<rep> plain(op.model_dim, Fp32::zero);
+        for (auto& m : models) {
+          m = lsa::field::uniform_vector<Fp32>(op.model_dim, mrng);
+          for (std::size_t k = 0; k < m.size(); ++k) {
+            plain[k] = Fp32::add(plain[k], m[k]);
+          }
+        }
+        std::vector<std::size_t> order(on);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::shuffle(order.begin(), order.end(), mrng);
+        const std::vector<std::size_t> crashed(order.begin(),
+                                               order.begin() + (on * 3) / 10);
+        const auto r0 = Clock::now();
+        const auto agg = sess.run_round(0, models, crashed);
+        round_s_n400 = seconds_since(r0);
+        if (agg != plain) {
+          std::printf("FAIL: N = %zu round with %zu crashes differs from "
+                      "the plain field sum\n", on, crashed.size());
+          return 1;
+        }
+      }
+    }
+    {
+      lsa::server::AsyncSessionConfig cfg;
+      cfg.params = op;
+      cfg.seed = 11;
+      cfg.buffer_k = std::max<std::size_t>(2, on / 4);
+      const auto t0 = Clock::now();
+      lsa::server::AsyncSession sess(cfg);
+      async_s = seconds_since(t0);
+      async_rss = rss_mb();
+    }
+    std::printf("  N=%4zu  sync open %8.4f s (RSS %7.1f MB)   async open "
+                "%8.4f s (RSS %7.1f MB)\n",
+                on, sync_s, sync_rss, async_s, async_rss);
+    open_fields.push_back({"sync_open_s" + tag, sync_s});
+    open_fields.push_back({"async_open_s" + tag, async_s});
+    open_fields.push_back({"sync_rss_mb" + tag, sync_rss});
+    open_fields.push_back({"async_rss_mb" + tag, async_rss});
+    if (on == 1000) open_s_n1000 = std::max(sync_s, async_s);
+  }
+  std::printf("  N= 400 sync round, 30%% crash after upload: %.3f s, equals "
+              "the plain field sum: OK\n", round_s_n400);
+  open_fields.push_back({"open_s_n1000", open_s_n1000});
+  open_fields.push_back({"round_s_n400", round_s_n400});
+  open_fields.push_back({"round_equals_plain_sum", 1.0});
+  json.add("session_open", std::move(open_fields));
   json.write(json_path);
   return 0;
 }

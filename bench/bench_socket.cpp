@@ -195,11 +195,12 @@ RoundsResult full_rounds(const std::string& url,
   const auto before = lsa::transport::snapshot();
   const auto t0 = Clock::now();
   std::vector<std::thread> threads;
+  const auto codec = lsa::runtime::session_codec(params);
   for (std::uint32_t u = 0; u < params.num_users; ++u) {
     threads.emplace_back([&, u] {
       auto t = SocketTransport::connect(
           addr, 0, u, static_cast<std::uint32_t>(params.num_users));
-      lsa::runtime::UserDevice dev(u, params, seed, *t);
+      lsa::runtime::UserDevice dev(u, params, codec, seed, *t);
       std::int64_t result_round = -1;
       t->set_sink([&](const Inbound& in) {
         dev.handle_view(in.view);

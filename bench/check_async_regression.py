@@ -5,7 +5,9 @@ Gates on the STRUCTURAL invariants of the unified session runtime rather
 than raw speed (CI machines are noisy): async aggregates bit-identical to
 the legacy single-threaded drive, zero send-side payload copies, and the
 survivor-set decode-plan cache actually hit on repeated cycles. A loose
-cycles/s floor catches order-of-magnitude throughput collapses.
+cycles/s floor catches order-of-magnitude throughput collapses, and a
+ceiling on opening an N = 1000 session catches a return of per-party codec
+copies (the open was O(N^2 U) with one codec per party).
 
 Usage: check_async_regression.py BENCH_async.json async_tolerance.json
 """
@@ -40,6 +42,12 @@ def main() -> int:
                      tol["max_steady_state_offline_encodes_per_user"])
     gate.require_max("steady_state", "plan_builds",
                      tol["max_steady_state_plan_builds"])
+    # Session open at scale ([6]): one shared codec per session, so an
+    # N = 1000 sync or async session opens in bounded time; the N = 400
+    # round with 30% crash-after-upload equals the plain field sum.
+    gate.require_max("session_open", "open_s_n1000",
+                     tol["max_session_open_s_n1000"])
+    gate.require_min("session_open", "round_equals_plain_sum", 1)
     return gate.finish("async session-runtime")
 
 

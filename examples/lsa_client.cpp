@@ -61,7 +61,9 @@ int run(int argc, char** argv) {
   const SocketAddr addr = SocketAddr::parse(connect_url);
   auto transport = SocketTransport::connect(
       addr, session, user, static_cast<std::uint32_t>(params.num_users));
-  lsa::runtime::UserDevice dev(user, params, seed, *transport);
+  lsa::runtime::UserDevice dev(user, params,
+                               lsa::runtime::session_codec(params), seed,
+                               *transport);
 
   // All inbound protocol frames feed the device machine; the sink also
   // tracks which round's aggregate has landed so the main loop can block

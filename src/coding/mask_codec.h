@@ -4,10 +4,11 @@
 // Construction. We realize the T-private MDS matrix W of eq. (5) in the
 // Lagrange-coded-computing form the paper cites (Yu et al. 2019):
 //
-//   * Fix U distinct nonzero "slot" points beta_1..beta_U. The first U-T
-//     slots carry the mask segments [z_i]_k, the last T slots carry the
-//     uniformly random padding segments [n_i]_k.
-//   * Fix N distinct "share" points alpha_1..alpha_N, disjoint from the betas.
+//   * Fix U distinct nonzero "slot" points beta_k = k (k = 1..U). The
+//     first U-T slots carry the mask segments [z_i]_k, the last T slots
+//     carry the uniformly random padding segments [n_i]_k.
+//   * Fix N distinct "share" points alpha_j = U + j (j = 1..N), disjoint
+//     from the betas.
 //   * User i forms the unique polynomial f_i of degree < U with
 //     f_i(beta_k) = segment k, and sends [~z_i]_j = f_i(alpha_j) to user j.
 //
@@ -16,7 +17,10 @@
 // polynomial, an invertible relation. It is T-private: the bottom T rows
 // evaluated at any T share points factor as diag · Cauchy · diag with all
 // factors invertible (tests/coding_test.cpp checks both properties
-// exhaustively for small parameters).
+// exhaustively for small parameters). The constructor builds W with the
+// decode plane's barycentric_weights (coding/decode_plan.h): one shared
+// O(U^2) derivative pass plus O(U) per column, O(U^2 + N·U) in all, and
+// bit-identical to a per-column Lagrange evaluation (coding_test pins it).
 //
 // One-shot decoding. Because all users share W, aggregated shares
 // sum_{i in U1} f_i(alpha_j) are evaluations of the aggregate polynomial
@@ -40,16 +44,19 @@
 // coding::BatchedDecodePlan keyed on the SORTED survivor point set (hash
 // precomputed once per lookup), so repeated rounds with the same survivors
 // pay the subproduct-tree / twiddle / weight-table setup once and stream
-// at marginal cost (the codec lives for a session, making this a
-// per-session cache). Under small survivor churn the cache patches instead
-// of rebuilding: a requested set differing from a cached plan's by at most
-// kMaxPatchChurn points goes through BatchedDecodePlan::patched_from —
-// only the dirtied root-to-leaf tree paths and the barycentric weight
-// updates are recomputed, bit-identical to a fresh build. The default
-// strategy kAuto picks the GEMM or the batched fast path from (U, U-T,
-// seg_len) via the measured crossover; last_decode_stats() reports what
-// ran, the setup-vs-stream split, and the cumulative full-build / patch /
-// eviction counters.
+// at marginal cost. A session owns exactly ONE codec
+// (runtime::session_codec), held as shared_ptr<const MaskCodec> by its
+// server and all N devices: the devices only encode (const reads of W, so
+// concurrent encode_into calls from pool lanes need no lock), and only the
+// server decodes, so the cache is the session's cache. Under small
+// survivor churn the cache patches instead of rebuilding: a requested set
+// differing from a cached plan's by at most kMaxPatchChurn points goes
+// through BatchedDecodePlan::patched_from — only the dirtied root-to-leaf
+// tree paths and the barycentric weight updates are recomputed,
+// bit-identical to a fresh build. The default strategy kAuto picks the
+// GEMM or the batched fast path from (U, U-T, seg_len) via the measured
+// crossover; last_decode_stats() reports what ran, the setup-vs-stream
+// split, and the cumulative full-build / patch / eviction counters.
 //
 // The legacy nested-vector APIs remain as thin adapters over the same
 // kernels, and every path is bit-identical to every other
@@ -68,7 +75,6 @@
 #include "coding/aggregate_decode.h"
 #include "coding/decode_plan.h"
 #include "coding/error_correction.h"
-#include "coding/lagrange.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -108,12 +114,13 @@ class MaskCodec {
 
     // Encoding matrix W[k][j] = l_k(alpha_j), stored with one row per
     // share index j (i.e. column-major in W) so encoding share j streams
-    // one contiguous coefficient row.
+    // one contiguous coefficient row. Column j is the barycentric weight
+    // row of alpha_j over the betas.
+    const auto cols = barycentric_weights<F>(std::span<const rep>(beta_),
+                                             std::span<const rep>(alpha_));
     w_cols_.reset(n_, u_);
     for (std::size_t j = 0; j < n_; ++j) {
-      const auto col = lagrange_weights_at<F>(std::span<const rep>(beta_),
-                                              alpha_[j]);
-      std::copy(col.begin(), col.end(), w_cols_.row(j).begin());
+      std::copy(cols[j].begin(), cols[j].end(), w_cols_.row(j).begin());
     }
   }
 

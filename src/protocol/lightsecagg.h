@@ -188,8 +188,7 @@ class LightSecAgg final : public SecureAggregator<F> {
     auto agg_mask =
         (verify_redundant_ && responders.size() > u)
             ? codec_->decode_aggregate_verified(responders, agg_shares_, pol)
-            : codec_->decode_aggregate(responders, agg_shares_, pol,
-                                       params_.decode);
+            : codec_->decode_aggregate(responders, agg_shares_, pol);
     if (ledger_ != nullptr) {
       // Decode: U-T output segments, each a U-term combination (d*U work),
       // plus the barycentric weight computation — O(U^2) shared denominators

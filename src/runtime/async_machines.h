@@ -17,6 +17,10 @@
 //      makes LightSecAgg async-capable (and SecAgg/SecAgg+ not, Remark 1).
 //   4. From any U responses the server one-shot decodes the weighted
 //      aggregate mask, removes it and broadcasts the result.
+//
+// As in the sync machines, all N + 1 parties of a session share ONE
+// immutable codec (runtime::session_codec): devices encode with it and
+// the server alone decodes, so the codec's plan cache is the session's.
 #pragma once
 
 #include <algorithm>
@@ -34,28 +38,33 @@
 #include "protocol/params.h"
 #include "quant/staleness.h"
 #include "runtime/arrival_scheduler.h"
-#include "runtime/machines.h"  // Party, pump_router
+#include "runtime/machines.h"  // Party, pump_router, session_codec
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
 namespace lsa::runtime {
 
-/// One edge device in the asynchronous protocol.
+/// One edge device in the asynchronous protocol. It encodes with the
+/// session's shared codec and never decodes.
 class AsyncUserDevice final : public Party {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
+  /// `codec` is the session's shared codec (session_codec(params));
+  /// ConfigError if its (N, U, T, d) disagree with `params`.
   AsyncUserDevice(std::uint32_t id, const lsa::protocol::Params& params,
+                  std::shared_ptr<const SessionCodec> codec,
                   std::uint64_t master_seed, Transport& transport)
       : id_(id),
         params_(params),
-        codec_(params.num_users, params.target_survivors, params.privacy,
-               params.model_dim),
+        codec_(checked_codec(std::move(codec), params)),
         master_seed_(master_seed),
         transport_(transport) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
+  /// The shared session codec this device encodes with.
+  [[nodiscard]] const SessionCodec& codec() const { return *codec_; }
   /// Number of stored (owner, born_round) shares across retained rounds.
   [[nodiscard]] std::size_t stored_shares() const {
     std::size_t c = 0;
@@ -80,9 +89,9 @@ class AsyncUserDevice final : public Party {
       lsa::crypto::Prg prg(seed);
       auto mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
       if (!epoch_setup_done_) {
-        enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-        codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
-                           params_.exec.chunk_reps);
+        enc_.reset_for_overwrite(params_.num_users, codec_->segment_len());
+        codec_->encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
+                            params_.exec.chunk_reps);
         ++offline_encodes_;
         for (std::uint32_t j = 0; j < params_.num_users; ++j) {
           if (j == id_) {
@@ -108,9 +117,9 @@ class AsyncUserDevice final : public Party {
     lsa::crypto::Prg prg(seed);
     auto mask = lsa::field::uniform_vector<Fp>(params_.model_dim, prg);
     // Encode all N shares into the reused flat arena, then ship rows.
-    enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-    codec_.encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
-                       params_.exec.chunk_reps);
+    enc_.reset_for_overwrite(params_.num_users, codec_->segment_len());
+    codec_->encode_into(std::span<const rep>(mask), prg, enc_, 0, 1,
+                        params_.exec.chunk_reps);
     ++offline_encodes_;
     for (std::uint32_t j = 0; j < params_.num_users; ++j) {
       if (j == id_) {
@@ -153,7 +162,7 @@ class AsyncUserDevice final : public Party {
     switch (type) {
       case MsgType::kEncodedMaskShare:
         lsa::require<lsa::ProtocolError>(
-            payload.size() == codec_.segment_len(),
+            payload.size() == codec_->segment_len(),
             "async user: bad encoded share length");
         bank_for(round).put(sender, payload);
         break;
@@ -162,7 +171,7 @@ class AsyncUserDevice final : public Party {
         // One fused weighted column sum across the manifested share rows.
         lsa::require<lsa::ProtocolError>(payload.size() % 3 == 0,
                                          "async user: bad manifest shape");
-        std::vector<rep> acc(codec_.segment_len(), Fp::zero);
+        std::vector<rep> acc(codec_->segment_len(), Fp::zero);
         {
           std::vector<rep> coeffs;
           std::vector<const rep*> rows;
@@ -215,12 +224,12 @@ class AsyncUserDevice final : public Party {
   ShareBank<Fp>& bank_for(std::uint64_t born_round) {
     return ShareBank<Fp>::get_or_create(store_, born_round,
                                         params_.num_users,
-                                        codec_.segment_len());
+                                        codec_->segment_len());
   }
 
   std::uint32_t id_;
   lsa::protocol::Params params_;
-  lsa::coding::MaskCodec<Fp> codec_;
+  std::shared_ptr<const SessionCodec> codec_;
   std::uint64_t master_seed_;
   Transport& transport_;
   /// store_[born_round].rows.row(u) = [~z_u^{(born)}]_this held here
@@ -233,7 +242,8 @@ class AsyncUserDevice final : public Party {
   std::uint64_t offline_encodes_ = 0;
 };
 
-/// The buffered asynchronous aggregation server.
+/// The buffered asynchronous aggregation server: the session's only
+/// decoder.
 class AsyncAggregationServer final : public Party {
  public:
   using Fp = lsa::field::Fp32;
@@ -244,7 +254,9 @@ class AsyncAggregationServer final : public Party {
     std::uint64_t weight_sum = 0;   ///< sum_b w_b (for normalization)
   };
 
+  /// `codec` is the session's shared codec; ConfigError on a mismatch.
   AsyncAggregationServer(const lsa::protocol::Params& params,
+                         std::shared_ptr<const SessionCodec> codec,
                          std::size_t buffer_k,
                          lsa::quant::StalenessPolicy staleness,
                          std::uint64_t c_g, Transport& transport)
@@ -252,8 +264,7 @@ class AsyncAggregationServer final : public Party {
         buffer_k_(buffer_k),
         staleness_(staleness),
         c_g_(c_g),
-        codec_(params.num_users, params.target_survivors, params.privacy,
-               params.model_dim),
+        codec_(checked_codec(std::move(codec), params)),
         transport_(transport) {
     lsa::require<lsa::ConfigError>(buffer_k_ >= 1,
                                    "async server: buffer K must be >= 1");
@@ -265,9 +276,7 @@ class AsyncAggregationServer final : public Party {
   }
   /// The session codec: exposes last_decode_stats() (plan-cache hit and the
   /// setup-vs-stream split of the one-shot weighted recovery).
-  [[nodiscard]] const lsa::coding::MaskCodec<Fp>& codec() const {
-    return codec_;
-  }
+  [[nodiscard]] const SessionCodec& codec() const { return *codec_; }
 
   void handle_view(const lsa::transport::FrameView& f) override {
     on_payload(f.type, f.sender, f.round, f.payload);
@@ -338,9 +347,8 @@ class AsyncAggregationServer final : public Party {
       owners.push_back(user);
       share_rows.push_back(vec.data());
     }
-    auto agg_mask = codec_.decode_aggregate_rows(
-        owners, std::span<const rep* const>(share_rows), params_.exec,
-        params_.decode);
+    auto agg_mask = codec_->decode_aggregate_rows(
+        owners, std::span<const rep* const>(share_rows), params_.exec);
     lsa::field::sub_inplace<Fp>(std::span<rep>(acc),
                                 std::span<const rep>(agg_mask));
 
@@ -367,7 +375,7 @@ class AsyncAggregationServer final : public Party {
         break;
       case MsgType::kWeightedShares:
         lsa::require<lsa::ProtocolError>(
-            payload.size() == codec_.segment_len(),
+            payload.size() == codec_->segment_len(),
             "async server: bad weighted share length");
         weighted_shares_[sender].assign(payload.begin(), payload.end());
         break;
@@ -386,7 +394,7 @@ class AsyncAggregationServer final : public Party {
   std::size_t buffer_k_;
   lsa::quant::StalenessPolicy staleness_;
   std::uint64_t c_g_;
-  lsa::coding::MaskCodec<Fp> codec_;
+  std::shared_ptr<const SessionCodec> codec_;
   Transport& transport_;
   std::vector<Buffered> buffer_;
   std::vector<rep> manifest_;
@@ -404,8 +412,8 @@ class AsyncAggregationServer final : public Party {
   return std::max(n, max_arrivals) + 2;
 }
 
-/// Owns the router and all async parties; pumps messages to completion on
-/// the calling thread. It is the serial reference that AsyncSession is
+/// Owns the router, the session codec and all async parties (which share
+/// it); pumps messages to completion on the calling thread. It is the serial reference that AsyncSession is
 /// checked against bit for bit.
 class AsyncNetwork {
  public:
@@ -427,11 +435,12 @@ class AsyncNetwork {
                 async_fanin_bound(params.num_users, max_arrivals_) +
                     lsa::transport::ConcurrentRouter::kCapacityHeadroom) {
     params_.validate_and_resolve();
+    const auto codec = session_codec(params_);
     server_ = std::make_unique<AsyncAggregationServer>(
-        params_, buffer_k, staleness, c_g, router_);
+        params_, codec, buffer_k, staleness, c_g, router_);
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
-      users_.push_back(
-          std::make_unique<AsyncUserDevice>(i, params_, seed, router_));
+      users_.push_back(std::make_unique<AsyncUserDevice>(i, params_, codec,
+                                                         seed, router_));
     }
   }
 

@@ -17,6 +17,11 @@
 // straight into their ShareBank arena row. pump_router drains a
 // ConcurrentRouter's mailboxes into the parties; the sessions and the
 // serial Network / AsyncNetwork reference drives all go through it.
+//
+// The encoding matrix W is fixed by (N, U, T, d) and identical for every
+// party, so a session builds ONE codec (session_codec) and hands the same
+// shared_ptr<const MaskCodec> to its server and all N devices; each party
+// only checks that the codec matches its Params.
 #pragma once
 
 #include <array>
@@ -48,6 +53,32 @@ class Party {
   /// only for the duration of the call.
   virtual void handle_view(const lsa::transport::FrameView& f) = 0;
 };
+
+using SessionCodec = lsa::coding::MaskCodec<lsa::field::Fp32>;
+
+/// The one codec of a session (or of a process's socket clients): every
+/// party of the session holds this same immutable instance. `params` must
+/// already be resolved (Params::validate_and_resolve).
+[[nodiscard]] inline std::shared_ptr<const SessionCodec> session_codec(
+    const lsa::protocol::Params& params) {
+  return std::make_shared<const SessionCodec>(
+      params.num_users, params.target_survivors, params.privacy,
+      params.model_dim);
+}
+
+/// Party-constructor guard: a codec built for another (N, U, T, d) would
+/// encode or decode wrong shares without any later check noticing.
+[[nodiscard]] inline std::shared_ptr<const SessionCodec> checked_codec(
+    std::shared_ptr<const SessionCodec> codec,
+    const lsa::protocol::Params& params) {
+  lsa::require<lsa::ConfigError>(
+      codec != nullptr && codec->num_users() == params.num_users &&
+          codec->target_survivors() == params.target_survivors &&
+          codec->privacy() == params.privacy &&
+          codec->mask_len() == params.model_dim,
+      "party: session codec (N, U, T, d) disagrees with the party's params");
+  return codec;
+}
 
 /// Delivers until every mailbox is quiet. Endpoint r < users.size() is
 /// user r; endpoint users.size() is the server. Each receiver's mailbox
@@ -187,22 +218,27 @@ class BankRing {
   std::array<Slot, kDepth> slots_;
 };
 
-/// One edge device running LightSecAgg.
+/// One edge device running LightSecAgg. It encodes with the session's
+/// shared codec and never decodes.
 class UserDevice final : public Party {
  public:
   using Fp = lsa::field::Fp32;
   using rep = Fp::rep;
 
+  /// `codec` is the session's shared codec (session_codec(params));
+  /// ConfigError if its (N, U, T, d) disagree with `params`.
   UserDevice(std::uint32_t id, const lsa::protocol::Params& params,
+             std::shared_ptr<const SessionCodec> codec,
              std::uint64_t master_seed, Transport& transport)
       : id_(id),
         params_(params),
-        codec_(params.num_users, params.target_survivors, params.privacy,
-               params.model_dim),
+        codec_(checked_codec(std::move(codec), params)),
         master_seed_(master_seed),
         transport_(transport) {}
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
+  /// The shared session codec this device encodes with.
+  [[nodiscard]] const SessionCodec& codec() const { return *codec_; }
 
   /// Rounds simultaneously representable in the parity-ring share store —
   /// shares two rounds back are retired when their ring slot re-keys, so a
@@ -218,7 +254,7 @@ class UserDevice final : public Party {
   /// round r+1 BEFORE launching offline(r+1) alongside online(r).
   void prepare_round(std::uint64_t round) {
     store_.prepare(share_key(round), params_.num_users,
-                   codec_.segment_len());
+                   codec_->segment_len());
   }
 
   /// Phase 1 + 2: generate and share the encoded mask, upload the masked
@@ -331,8 +367,8 @@ class UserDevice final : public Party {
   /// round field, which carries the same key).
   void distribute_shares(std::uint64_t key, std::span<const rep> mask,
                          lsa::crypto::Prg& prg) {
-    enc_.reset_for_overwrite(params_.num_users, codec_.segment_len());
-    codec_.encode_into(mask, prg, enc_, 0, 1, params_.exec.chunk_reps);
+    enc_.reset_for_overwrite(params_.num_users, codec_->segment_len());
+    codec_->encode_into(mask, prg, enc_, 0, 1, params_.exec.chunk_reps);
     ++offline_encodes_;
     for (std::uint32_t j = 0; j < params_.num_users; ++j) {
       if (j == id_) {
@@ -355,7 +391,7 @@ class UserDevice final : public Party {
     switch (type) {
       case MsgType::kEncodedMaskShare:
         lsa::require<lsa::ProtocolError>(
-            payload.size() == codec_.segment_len(),
+            payload.size() == codec_->segment_len(),
             "user: bad encoded share length");
         bank_for(round).put(sender, payload);
         break;
@@ -366,7 +402,7 @@ class UserDevice final : public Party {
         lsa::require<lsa::ProtocolError>(
             payload.size() == params_.num_users,
             "user: bad survivor bitmap");
-        std::vector<rep> acc(codec_.segment_len(), Fp::zero);
+        std::vector<rep> acc(codec_->segment_len(), Fp::zero);
         {
           const auto* bank = store_.find(share_key(round));
           std::vector<const rep*> rows;
@@ -413,7 +449,7 @@ class UserDevice final : public Party {
   /// pipelined driver the slot was pre-keyed (prepare_round) so this is a
   /// read-only lookup even while stages overlap.
   ShareBank<Fp>& bank_for(std::uint64_t round) {
-    return store_.prepare(round, params_.num_users, codec_.segment_len());
+    return store_.prepare(round, params_.num_users, codec_->segment_len());
   }
 
   /// Claims the parity mask stash for `round` (overwriting the round two
@@ -426,7 +462,7 @@ class UserDevice final : public Party {
 
   std::uint32_t id_;
   lsa::protocol::Params params_;
-  lsa::coding::MaskCodec<Fp> codec_;
+  std::shared_ptr<const SessionCodec> codec_;
   std::uint64_t master_seed_;
   Transport& transport_;
   bool byzantine_ = false;
@@ -448,7 +484,8 @@ class UserDevice final : public Party {
 
 /// The aggregation server state machine (one cohort). The multi-session
 /// sharded server in src/server/aggregation_server.h runs many of these
-/// concurrently, one per session.
+/// concurrently, one per session. It is the only party that decodes, so
+/// the shared codec's decode-plan cache is this session's cache.
 class AggregationServer final : public Party {
  public:
   using Fp = lsa::field::Fp32;
@@ -457,11 +494,12 @@ class AggregationServer final : public Party {
   /// byzantine_tolerant: recovery uses ALL arrived aggregated shares and
   /// the error-correcting decode — up to floor((responses - U)/2) falsified
   /// shares are located, discarded and reported via last_corrupted().
-  AggregationServer(const lsa::protocol::Params& params, Transport& transport,
-                    bool byzantine_tolerant = false)
+  /// `codec` is the session's shared codec; ConfigError on a mismatch.
+  AggregationServer(const lsa::protocol::Params& params,
+                    std::shared_ptr<const SessionCodec> codec,
+                    Transport& transport, bool byzantine_tolerant = false)
       : params_(params),
-        codec_(params.num_users, params.target_survivors, params.privacy,
-               params.model_dim),
+        codec_(checked_codec(std::move(codec), params)),
         transport_(transport),
         byzantine_tolerant_(byzantine_tolerant) {}
 
@@ -516,14 +554,13 @@ class AggregationServer final : public Party {
       for (const std::size_t user : owners) {
         payloads.push_back(shares.rows.row_copy(user));
       }
-      auto corrected = codec_.decode_aggregate_corrected(owners, payloads);
+      auto corrected = codec_->decode_aggregate_corrected(owners, payloads);
       agg_mask = std::move(corrected.aggregate);
       last_corrupted_.assign(corrected.corrupted_owners.begin(),
                              corrected.corrupted_owners.end());
     } else {
-      agg_mask = codec_.decode_aggregate_rows(
-          owners, std::span<const rep* const>(rows), params_.exec,
-          params_.decode);
+      agg_mask = codec_->decode_aggregate_rows(
+          owners, std::span<const rep* const>(rows), params_.exec);
     }
 
     std::vector<rep> result(params_.model_dim, Fp::zero);
@@ -572,9 +609,7 @@ class AggregationServer final : public Party {
 
   /// The session codec: exposes last_decode_stats() (which kernel ran,
   /// plan-cache hit, setup-vs-stream split) for session telemetry.
-  [[nodiscard]] const lsa::coding::MaskCodec<Fp>& codec() const {
-    return codec_;
-  }
+  [[nodiscard]] const SessionCodec& codec() const { return *codec_; }
 
  private:
   void on_payload(MsgType type, std::uint32_t sender, std::uint64_t round,
@@ -588,9 +623,9 @@ class AggregationServer final : public Party {
         break;
       case MsgType::kAggregatedShares:
         lsa::require<lsa::ProtocolError>(
-            payload.size() == codec_.segment_len(),
+            payload.size() == codec_->segment_len(),
             "server: bad aggregated share length");
-        bank_for(agg_shares_, round, codec_.segment_len())
+        bank_for(agg_shares_, round, codec_->segment_len())
             .put(sender, payload);
         break;
       default:
@@ -604,7 +639,7 @@ class AggregationServer final : public Party {
   }
 
   lsa::protocol::Params params_;
-  lsa::coding::MaskCodec<Fp> codec_;
+  std::shared_ptr<const SessionCodec> codec_;
   Transport& transport_;
   bool byzantine_tolerant_ = false;
   std::vector<std::size_t> last_corrupted_;
@@ -618,10 +653,10 @@ class AggregationServer final : public Party {
   BankRing<Fp> agg_shares_;
 };
 
-/// Owns a router, N user devices and the server; pumps messages to
-/// completion on the calling thread. The unit tests drive rounds through
-/// this, and it is the serial reference the concurrent sessions are
-/// checked against bit for bit.
+/// Owns a router, the session codec, N user devices and the server (all
+/// sharing that codec); pumps messages to completion on the calling
+/// thread. The unit tests drive rounds through this, and it is the serial
+/// reference the concurrent sessions are checked against bit for bit.
 class Network {
  public:
   using Fp = lsa::field::Fp32;
@@ -633,11 +668,12 @@ class Network {
           bool byzantine_tolerant = false)
       : params_(params), router_(params.num_users + 1) {
     params_.validate_and_resolve();
-    server_ = std::make_unique<AggregationServer>(params_, router_,
+    const auto codec = session_codec(params_);
+    server_ = std::make_unique<AggregationServer>(params_, codec, router_,
                                                   byzantine_tolerant);
     for (std::uint32_t i = 0; i < params_.num_users; ++i) {
       users_.push_back(
-          std::make_unique<UserDevice>(i, params_, seed, router_));
+          std::make_unique<UserDevice>(i, params_, codec, seed, router_));
     }
   }
 

@@ -18,10 +18,11 @@
 //         runtime::AsyncAggregationServer; step() = one *buffer cycle*
 //         (arrivals at staleness → K-buffered manifest → weighted-share
 //         fan-in → one-shot decode of the weighted aggregate mask).
-//     Each session owns its arenas and its transport::ConcurrentRouter
-//     (per-receiver MPSC mailboxes, pooled zero-copy frames); nothing is
-//     shared between sessions but the thread pool and the instrumentation
-//     counters;
+//     Each session owns its arenas, its one MaskCodec (shared by its
+//     server and all N devices, runtime::session_codec) and its
+//     transport::ConcurrentRouter (per-receiver MPSC mailboxes, pooled
+//     zero-copy frames); nothing is shared between sessions but the
+//     thread pool and the instrumentation counters;
 //   * sessions are sharded session_id % num_shards; run_rounds()/drive()
 //     executes one task per shard on the sys::ThreadPool, each shard
 //     pumping its sessions' queued steps to completion serially while the
@@ -263,11 +264,12 @@ class Session final : public SessionBase {
                 resolve_queue_capacity(cfg_.queue_capacity,
                                        fanin_bound(cfg_.params.num_users))) {
     cfg_.params.validate_and_resolve();
+    const auto codec = lsa::runtime::session_codec(cfg_.params);
     server_ = std::make_unique<lsa::runtime::AggregationServer>(
-        cfg_.params, router_, cfg_.byzantine_tolerant);
+        cfg_.params, codec, router_, cfg_.byzantine_tolerant);
     for (std::uint32_t i = 0; i < cfg_.params.num_users; ++i) {
       users_.push_back(std::make_unique<lsa::runtime::UserDevice>(
-          i, cfg_.params, cfg_.seed, router_));
+          i, cfg_.params, codec, cfg_.seed, router_));
     }
   }
 
@@ -568,11 +570,13 @@ class AsyncSession final : public SessionBase {
                     cfg_.queue_capacity,
                     fanin_bound(cfg_.params.num_users, max_arrivals_))) {
     cfg_.params.validate_and_resolve();
+    const auto codec = lsa::runtime::session_codec(cfg_.params);
     server_ = std::make_unique<lsa::runtime::AsyncAggregationServer>(
-        cfg_.params, cfg_.buffer_k, cfg_.staleness, cfg_.c_g, router_);
+        cfg_.params, codec, cfg_.buffer_k, cfg_.staleness, cfg_.c_g,
+        router_);
     for (std::uint32_t i = 0; i < cfg_.params.num_users; ++i) {
       users_.push_back(std::make_unique<lsa::runtime::AsyncUserDevice>(
-          i, cfg_.params, cfg_.seed, router_));
+          i, cfg_.params, codec, cfg_.seed, router_));
     }
     scheduler_.emplace(cfg_.schedule, cfg_.params.num_users,
                        cfg_.params.model_dim,

@@ -97,7 +97,8 @@ class RemoteSession {
     lsa::runtime::Transport& t =
         hub.register_session(session_id, n, std::move(hooks));
     server_ = std::make_unique<lsa::runtime::AggregationServer>(
-        cfg_.params, t, cfg_.byzantine_tolerant);
+        cfg_.params, lsa::runtime::session_codec(cfg_.params), t,
+        cfg_.byzantine_tolerant);
   }
 
   [[nodiscard]] Phase phase() const { return phase_; }

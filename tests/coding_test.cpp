@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "field/fp.h"
+#include "field/goldilocks.h"
 #include "field/random_field.h"
 
 namespace {
@@ -193,6 +194,51 @@ TEST(MaskCodec, EncodingMatrixIsMdsAndTPrivate) {
       EXPECT_TRUE(w.submatrix(noise_rows, two_cols).is_invertible())
           << a << "," << b;
     }
+}
+
+/// Counts entries of the codec's W that differ from a per-column Lagrange
+/// evaluation over the codec's documented points: beta_k = k + 1 and
+/// alpha_j = U + 1 + j (0-based k, j).
+template <class F>
+std::size_t w_mismatches_vs_lagrange(std::size_t n, std::size_t u,
+                                     std::size_t t, std::size_t d) {
+  using R = typename F::rep;
+  lsa::coding::MaskCodec<F> codec(n, u, t, d);
+  std::vector<R> betas(u);
+  for (std::size_t k = 0; k < u; ++k) betas[k] = static_cast<R>(k + 1);
+  std::size_t mismatches = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto ref = lsa::coding::lagrange_weights_at<F>(
+        std::span<const R>(betas), static_cast<R>(u + 1 + j));
+    const auto col = codec.encoding_column(j);
+    if (col.size() != u) return n * u;
+    for (std::size_t k = 0; k < u; ++k) mismatches += col[k] != ref[k];
+  }
+  return mismatches;
+}
+
+TEST(MaskCodec, EncodingMatrixMatchesLagrangeReference) {
+  // The codec builds W barycentrically; every entry must equal the
+  // per-column Lagrange reference bit for bit, on every field.
+  struct Shape {
+    std::size_t n, u, t, d;
+  };
+  const Shape shapes[] = {
+      {12, 8, 0, 24},     // T = 0
+      {9, 9, 4, 10},      // U = N
+      {16, 9, 4, 1},      // d = 1
+      {256, 179, 128, 51},  // paper shape: U = 0.7N, T = N/2
+  };
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(testing::Message() << "N=" << s.n << " U=" << s.u
+                                    << " T=" << s.t << " d=" << s.d);
+    EXPECT_EQ(w_mismatches_vs_lagrange<Fp32>(s.n, s.u, s.t, s.d), 0u);
+    EXPECT_EQ(w_mismatches_vs_lagrange<lsa::field::Fp61>(s.n, s.u, s.t, s.d),
+              0u);
+    EXPECT_EQ(
+        w_mismatches_vs_lagrange<lsa::field::Goldilocks>(s.n, s.u, s.t, s.d),
+        0u);
+  }
 }
 
 TEST(MaskCodec, TSharesLookUniform) {

@@ -114,12 +114,14 @@ void run_full_rounds(const std::string& listen_url, int uds_tag) {
   std::vector<std::atomic<bool>> ok(params.num_users);
   for (auto& o : ok) o.store(false);
 
+  // Devices in one process share one codec, as a session's parties do.
+  const auto codec = lsa::runtime::session_codec(params);
   for (std::uint32_t u = 0; u < params.num_users; ++u) {
     threads.emplace_back([&, u] {
       auto t = SocketTransport::connect(client_addr, 0, u,
                                         static_cast<std::uint32_t>(
                                             params.num_users));
-      UserDevice dev(u, params, kSeed, *t);
+      UserDevice dev(u, params, codec, kSeed, *t);
       const bool dropper = (u == 4 || u == 5);
       std::int64_t result_round = -1;
       t->set_sink([&](const Inbound& in) {
@@ -278,10 +280,12 @@ TEST(SocketTransport, MidRoundDisconnectReconnectMapsToCrashRevive) {
   std::vector<std::unique_ptr<SocketTransport>> cts;
   std::vector<std::unique_ptr<UserDevice>> devs;
   std::vector<std::int64_t> result_round(params.num_users, -1);
+  const auto codec = lsa::runtime::session_codec(params);
   for (std::uint32_t u = 0; u < params.num_users; ++u) {
     cts.push_back(SocketTransport::connect(
         addr, 0, u, static_cast<std::uint32_t>(params.num_users)));
-    devs.push_back(std::make_unique<UserDevice>(u, params, kSeed, *cts[u]));
+    devs.push_back(
+        std::make_unique<UserDevice>(u, params, codec, kSeed, *cts[u]));
     cts[u]->set_sink([&, u](const Inbound& in) {
       devs[u]->handle_view(in.view);
       if (in.view.type == MsgType::kAggregateResult) {
@@ -472,11 +476,12 @@ TEST(SocketTransport, PersistentCohortTenRoundsOverUds) {
   std::vector<std::atomic<bool>> ok(params.num_users);
   for (auto& o : ok) o.store(false);
 
+  const auto codec = lsa::runtime::session_codec(params);
   for (std::uint32_t u = 0; u < params.num_users; ++u) {
     threads.emplace_back([&, u] {
       auto t = SocketTransport::connect(
           addr, 0, u, static_cast<std::uint32_t>(params.num_users));
-      UserDevice dev(u, params, kSeed, *t);
+      UserDevice dev(u, params, codec, kSeed, *t);
       std::int64_t result_round = -1;
       t->set_sink([&](const Inbound& in) {
         dev.handle_view(in.view);

@@ -51,6 +51,14 @@ Rules
                         views through Transport::send_row; a Message
                         materializes a copied payload vector, the second
                         delivery path the zero-copy plane replaced.
+  one-codec-per-session src/runtime/, src/server/: no by-value MaskCodec<...>
+                        data member (spelled directly, as SessionCodec, or
+                        through an in-file alias). A session builds one
+                        codec (runtime::session_codec) and its N + 1 parties
+                        hold it as shared_ptr<const MaskCodec>; a by-value
+                        member is a per-party copy of the N x U encoding
+                        matrix, the O(N^2 U) session-open cost the shared
+                        codec removed.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -535,6 +543,37 @@ def rule_no_message_path(text, code, comments, relpath) -> list[Finding]:
     ]
 
 
+TEMPLATE_ARGS = r"<(?:[^;<>]|<[^;<>]*>)*>"
+CODEC_ALIAS_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*[\w:\s]*\bMaskCodec\s*" + TEMPLATE_ARGS +
+    r"\s*;")
+
+
+def rule_one_codec_per_session(text, code, comments, relpath) -> list[Finding]:
+    if not (relpath.startswith("src/runtime/")
+            or relpath.startswith("src/server/")):
+        return []
+    # SessionCodec is runtime/machines.h's alias, visible to every file here.
+    spellings = [r"\bMaskCodec\s*" + TEMPLATE_ARGS, r"\bSessionCodec\b"]
+    spellings += [rf"\b{re.escape(m.group(1))}\b"
+                  for m in CODEC_ALIAS_RE.finditer(code)]
+    member_re = re.compile(
+        r"(?<![\w<,])(?:const\s+)?(?:[\w:]*::)?(?:" + "|".join(spellings) +
+        r")\s+(\w+)\s*(?:;|=|\{)")
+    starts = line_starts_of(text)
+    events = scope_intervals(code)
+    out = []
+    for m in member_re.finditer(code):
+        if scope_at(events, m.start()) is not None:
+            continue  # a local inside a function body, not a data member
+        out.append(Finding(
+            "one-codec-per-session", relpath, line_of(m.start(), starts),
+            f"by-value MaskCodec member `{m.group(1)}` — hold the session's "
+            "one codec as std::shared_ptr<const MaskCodec> "
+            "(runtime::session_codec) instead of a per-party copy"))
+    return out
+
+
 RULES = [
     ("field-no-modulo", rule_field_no_modulo, "src/field/fixture.h"),
     ("field-no-branch", rule_field_no_branch, "src/field/fixture.h"),
@@ -546,6 +585,8 @@ RULES = [
     ("memcpy-payload", rule_memcpy_payload, "src/transport/fixture.h"),
     ("serial-stage", rule_serial_stage, "src/server/aggregation_server.h"),
     ("no-message-path", rule_no_message_path, "src/runtime/fixture.h"),
+    ("one-codec-per-session", rule_one_codec_per_session,
+     "src/runtime/fixture.h"),
 ]
 
 
