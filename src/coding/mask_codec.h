@@ -450,6 +450,8 @@ class MaskCodec {
   /// Error-*correcting* decode (the full upgrade of the §8 first step):
   /// with r = #responses - U redundant shares, locates and discards up to
   /// floor(r/2) corrupted responses and still recovers the exact aggregate.
+  /// rows[j] is share_owners[j]'s aggregated share (seg_len reps), as in
+  /// decode_aggregate_rows, through which the clean subset decodes on `pol`.
   ///
   /// Location runs Berlekamp-Welch once on a random linear combination of
   /// the seg_len coordinates (corruption is per-responder, so one locator
@@ -460,10 +462,11 @@ class MaskCodec {
   /// can fix (detected via the BW consistency check, never mis-decoded).
   [[nodiscard]] CorrectedAggregate decode_aggregate_corrected(
       std::span<const std::size_t> share_owners,
-      std::span<const std::vector<rep>> agg_shares,
+      std::span<const rep* const> rows,
+      const lsa::sys::ExecPolicy& pol = {},
       std::uint64_t probe_seed = 0x5eedu) const {
     lsa::require<lsa::ProtocolError>(
-        share_owners.size() == agg_shares.size(),
+        share_owners.size() == rows.size(),
         "corrected decode: owners/shares size mismatch");
     lsa::require<lsa::ProtocolError>(
         share_owners.size() >= u_,
@@ -477,11 +480,9 @@ class MaskCodec {
     for (std::size_t j = 0; j < n_resp; ++j) {
       lsa::require<lsa::ProtocolError>(share_owners[j] < n_,
                                        "corrected decode: owner range");
-      lsa::require<lsa::ProtocolError>(agg_shares[j].size() == seg_len_,
-                                       "corrected decode: share length");
       xs[j] = alpha_[share_owners[j]];
       ys[j] = lsa::field::dot<F>(std::span<const rep>(probe),
-                                 std::span<const rep>(agg_shares[j]));
+                                 std::span<const rep>(rows[j], seg_len_));
     }
 
     const auto bw = berlekamp_welch<F>(std::span<const rep>(xs),
@@ -493,7 +494,7 @@ class MaskCodec {
 
     CorrectedAggregate out;
     std::vector<std::size_t> clean_owners;
-    std::vector<std::vector<rep>> clean_shares;
+    std::vector<const rep*> clean_rows;
     std::size_t next_err = 0;
     for (std::size_t j = 0; j < n_resp; ++j) {
       if (next_err < bw->error_positions.size() &&
@@ -503,9 +504,10 @@ class MaskCodec {
         continue;
       }
       clean_owners.push_back(share_owners[j]);
-      clean_shares.push_back(agg_shares[j]);
+      clean_rows.push_back(rows[j]);
     }
-    out.aggregate = decode_aggregate(clean_owners, clean_shares);
+    out.aggregate = decode_aggregate_rows(
+        clean_owners, std::span<const rep* const>(clean_rows), pol);
     return out;
   }
 

@@ -1,7 +1,8 @@
 // Asynchronous LightSecAgg as communicating state machines (paper §4.2,
-// Appendix F) — the distributed-system shape of protocol/async_lightsecagg.h,
-// with every byte crossing a Transport in wire format (a ConcurrentRouter,
-// with its crash/revive and fault hooks, in AsyncNetwork and AsyncSession).
+// Appendix F) — the repo's one implementation of the async protocol, with
+// every byte crossing a Transport in wire format (a ConcurrentRouter, with
+// its crash/revive and fault hooks, in AsyncNetwork and AsyncSession).
+// fl::run_fedbuff's secure path drives AsyncNetwork one cycle per round.
 //
 // Message flow per buffer cycle (buffered async FL, FedBuff-style):
 //   1. A user finishing local training at staleness tau_i = now - t_i sends
@@ -299,6 +300,9 @@ class AsyncAggregationServer final : public Party {
           "async server: round index exceeds wire range");
       const std::uint64_t w = lsa::quant::quantized_staleness_weight(
           staleness_, now - b.born_round, c_g_);
+      lsa::require<lsa::ProtocolError>(
+          w < Fp::modulus,
+          "async server: staleness weight exceeds wire range");
       manifest.push_back(static_cast<rep>(b.user));
       manifest.push_back(static_cast<rep>(b.born_round));
       manifest.push_back(static_cast<rep>(w));

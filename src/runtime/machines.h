@@ -549,12 +549,8 @@ class AggregationServer final : public Party {
     }
     std::vector<rep> agg_mask;
     if (byzantine_tolerant_) {
-      std::vector<std::vector<rep>> payloads;
-      payloads.reserve(owners.size());
-      for (const std::size_t user : owners) {
-        payloads.push_back(shares.rows.row_copy(user));
-      }
-      auto corrected = codec_->decode_aggregate_corrected(owners, payloads);
+      auto corrected = codec_->decode_aggregate_corrected(
+          owners, std::span<const rep* const>(rows), params_.exec);
       agg_mask = std::move(corrected.aggregate);
       last_corrupted_.assign(corrected.corrupted_owners.begin(),
                              corrected.corrupted_owners.end());

@@ -1,10 +1,13 @@
 // Asynchronous LightSecAgg as distributed state machines (App. F through
 // the wire-format router): mixed-staleness aggregation, delayed-user and
-// crash semantics, share lifecycle, multi-cycle operation, and the
-// per-cycle arrival bound the serial drive's mailboxes are sized for.
+// crash semantics, share lifecycle, multi-cycle operation, the per-cycle
+// arrival bound the serial drive's mailboxes are sized for, and the
+// manifest checks (future updates, zero or out-of-range weights, shares a
+// device does not hold).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +38,18 @@ lsa::protocol::Params make_params() {
 std::vector<rep> random_update(std::uint64_t seed) {
   lsa::common::Xoshiro256ss rng(seed);
   return lsa::field::uniform_vector<Fp>(kD, rng);
+}
+
+/// Runs `fn`, expecting a ProtocolError whose message contains `what`.
+template <class Fn>
+void expect_protocol_error(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ProtocolError; expected \"" << what << "\"";
+  } catch (const lsa::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
 }
 
 /// Plaintext reference: sum_b w_b * update_b with the same quantized
@@ -201,6 +216,90 @@ TEST(AsyncRuntime, ResultBroadcastReachesEveryUser) {
     ASSERT_TRUE(net.user(j).last_result().has_value()) << j;
     EXPECT_EQ(*net.user(j).last_result(), out.weighted_sum) << j;
   }
+}
+
+TEST(AsyncRuntime, SameUserTwiceInOneCycleMatchesPlainWeightedSum) {
+  // One user's updates born at rounds 10 and 11 sit in the same buffer:
+  // its two timestamped masks live in separate per-round banks and both
+  // cancel in the one-shot weighted recovery.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), /*buffer_k=*/2, constant,
+                                 kCg, 21);
+  std::vector<Arrival> arrivals{{1, 10, random_update(1001)},
+                                {1, 11, random_update(1002)}};
+  const auto out = net.run_cycle(/*now=*/12, arrivals);
+  EXPECT_EQ(out.weighted_sum, expected_weighted_sum(arrivals, 12, constant));
+  EXPECT_EQ(out.weight_sum, 2 * kCg);
+  for (std::size_t j = 0; j < kN; ++j) {
+    EXPECT_EQ(net.user(j).stored_shares(), 0u) << "user " << j;
+  }
+}
+
+TEST(AsyncRuntime, AllWeightsRoundingToZeroThrows) {
+  // Poly(alpha=4) at tau = 100: s(tau) = 101^-4 ~ 1e-8, and c_g * s
+  // rounds to 0 for every update. Surfaced, never a division by zero.
+  lsa::quant::StalenessPolicy poly{
+      lsa::quant::StalenessKind::kPolynomial, 4.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, poly, /*c_g=*/2,
+                                 23);
+  std::vector<Arrival> arrivals;
+  for (std::size_t b = 0; b < kBufferK; ++b) {
+    arrivals.push_back({b, 0, random_update(1100 + b)});
+  }
+  expect_protocol_error([&] { (void)net.run_cycle(/*now=*/100, arrivals); },
+                        "all weights rounded to zero");
+}
+
+TEST(AsyncRuntime, UpdateBornAfterNowThrows) {
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, constant, kCg, 25);
+  std::vector<Arrival> arrivals;
+  for (std::size_t b = 0; b < kBufferK; ++b) {
+    arrivals.push_back({b, /*born_round=*/5 + b, random_update(1200 + b)});
+  }
+  expect_protocol_error([&] { (void)net.run_cycle(/*now=*/6, arrivals); },
+                        "update from future");
+}
+
+TEST(AsyncRuntime, StalenessWeightBeyondWireRangeThrowsBeforeManifest) {
+  // c_g = 2^33 with constant staleness makes every weight 2^33 > p. The
+  // manifest carries weights as field elements, so such a weight must be
+  // refused before anything is broadcast: truncated to 32 bits it would
+  // silently zero the weighted sum, and in [p, 2^32) every user's frame
+  // parse would fail mid-cycle.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, constant,
+                                 /*c_g=*/1ull << 33, 27);
+  for (std::size_t b = 0; b < kBufferK; ++b) {
+    const auto update = random_update(1300 + b);
+    net.user(b).submit_update(/*born_round=*/4, update);
+  }
+  net.pump();
+  const auto sent = net.router().frames_sent();
+  expect_protocol_error([&] { net.server().begin_recovery(/*now=*/4); },
+                        "staleness weight exceeds wire range");
+  EXPECT_EQ(net.router().frames_sent(), sent);  // no manifest went out
+}
+
+TEST(AsyncRuntime, ManifestNamingAnUnheldShareThrows) {
+  // User 2 shared its mask for born round 3; a manifest that claims its
+  // update was born at round 4 names a share no device holds.
+  lsa::quant::StalenessPolicy constant{
+      lsa::quant::StalenessKind::kConstant, 1.0};
+  lsa::runtime::AsyncNetwork net(make_params(), kBufferK, constant, kCg, 29);
+  net.user(2).submit_update(/*born_round=*/3, random_update(1400));
+  net.pump();
+  ASSERT_EQ(net.user(0).stored_shares(), 1u);
+
+  const std::vector<rep> manifest{/*user=*/2, /*born_round=*/4,
+                                  /*weight=*/1};
+  net.router().send_row(lsa::runtime::MsgType::kBufferManifest,
+                        /*sender=*/kN, /*receiver=*/0, /*round=*/4,
+                        std::span<const rep>(manifest));
+  expect_protocol_error([&] { net.pump(); }, "missing timestamped share");
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 #include "field/fp.h"
 #include "field/goldilocks.h"
 #include "field/random_field.h"
+#include "sys/thread_pool.h"
 
 namespace {
 
 using F = lsa::field::Fp32;
 using rep = F::rep;
+using lsa::coding::share_row_ptrs;
 
 std::vector<rep> random_poly(std::size_t n, std::uint64_t seed) {
   lsa::common::Xoshiro256ss rng(seed);
@@ -157,8 +159,8 @@ struct CodecFixture {
 
 TEST(CorrectedDecode, CleanSharesDecodeWithEmptyCorruptionSet) {
   CodecFixture fx;
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  const auto out = fx.codec.decode_aggregate_corrected(
+      fx.owners, share_row_ptrs<F>(fx.shares));
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_TRUE(out.corrupted_owners.empty());
 }
@@ -170,10 +172,17 @@ TEST(CorrectedDecode, CorrectsUpToTheRedundancyBudget) {
   for (const std::size_t j : {1u, 6u, 11u}) {
     for (auto& v : fx.shares[j]) v = lsa::field::uniform<F>(rng);
   }
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  const auto out = fx.codec.decode_aggregate_corrected(
+      fx.owners, share_row_ptrs<F>(fx.shares));
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_EQ(out.corrupted_owners, (std::vector<std::size_t>{1, 6, 11}));
+
+  // The clean subset decodes on the caller's ExecPolicy, bit for bit.
+  lsa::sys::ThreadPool pool(3);
+  const auto par = fx.codec.decode_aggregate_corrected(
+      fx.owners, share_row_ptrs<F>(fx.shares), lsa::sys::ExecPolicy{&pool, 4});
+  EXPECT_EQ(par.aggregate, out.aggregate);
+  EXPECT_EQ(par.corrupted_owners, out.corrupted_owners);
 }
 
 TEST(CorrectedDecode, SingleElementTamperingIsStillLocated) {
@@ -181,8 +190,8 @@ TEST(CorrectedDecode, SingleElementTamperingIsStillLocated) {
   // seg_len = ceil(60 / (8-3)) = 12; flip one in-range element.
   ASSERT_EQ(fx.codec.segment_len(), 12u);
   fx.shares[4][7] = F::add(fx.shares[4][7], 1);  // one flipped element
-  const auto out =
-      fx.codec.decode_aggregate_corrected(fx.owners, fx.shares);
+  const auto out = fx.codec.decode_aggregate_corrected(
+      fx.owners, share_row_ptrs<F>(fx.shares));
   EXPECT_EQ(out.aggregate, fx.mask);
   EXPECT_EQ(out.corrupted_owners, std::vector<std::size_t>{4});
 }
@@ -194,7 +203,8 @@ TEST(CorrectedDecode, ThrowsLoudlyBeyondBudget) {
     for (auto& v : fx.shares[j]) v = lsa::field::uniform<F>(rng);
   }
   EXPECT_THROW(
-      (void)fx.codec.decode_aggregate_corrected(fx.owners, fx.shares),
+      (void)fx.codec.decode_aggregate_corrected(fx.owners,
+                                                share_row_ptrs<F>(fx.shares)),
       lsa::CodingError);
 }
 
@@ -208,13 +218,14 @@ TEST(CorrectedDecode, ExactlyUResponsesMeansZeroBudgetAndZeroDetection) {
   std::vector<std::size_t> owners(fx.owners.begin(), fx.owners.begin() + 8);
   std::vector<std::vector<rep>> shares(fx.shares.begin(),
                                        fx.shares.begin() + 8);
-  const auto clean = fx.codec.decode_aggregate_corrected(owners, shares);
+  const auto clean =
+      fx.codec.decode_aggregate_corrected(owners, share_row_ptrs<F>(shares));
   EXPECT_EQ(clean.aggregate, fx.mask);
   EXPECT_TRUE(clean.corrupted_owners.empty());
 
   shares[2][0] = F::add(shares[2][0], 5);
   const auto tampered =
-      fx.codec.decode_aggregate_corrected(owners, shares);
+      fx.codec.decode_aggregate_corrected(owners, share_row_ptrs<F>(shares));
   EXPECT_NE(tampered.aggregate, fx.mask);  // wrong, and undetectably so
   EXPECT_TRUE(tampered.corrupted_owners.empty());
 
@@ -225,7 +236,8 @@ TEST(CorrectedDecode, ExactlyUResponsesMeansZeroBudgetAndZeroDetection) {
                                         fx.shares.begin() + 9);
   shares9[2][0] = F::add(shares9[2][0], 5);
   EXPECT_THROW(
-      (void)fx.codec.decode_aggregate_corrected(owners9, shares9),
+      (void)fx.codec.decode_aggregate_corrected(owners9,
+                                                share_row_ptrs<F>(shares9)),
       lsa::CodingError);
 }
 
